@@ -12,6 +12,7 @@
 // With no arguments every suite circuit runs (paper configuration).
 #pragma once
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,17 +37,62 @@ inline bool option_with_value(const char* s) {
          std::strcmp(s, "--json") == 0;
 }
 
+/// A bad command line: message on stderr, exit 2 (as `fsct` does).
+[[noreturn]] inline void usage_error(const char* argv0,
+                                     const std::string& msg) {
+  const char* slash = std::strrchr(argv0, '/');
+  std::fprintf(stderr, "%s: %s\n", slash ? slash + 1 : argv0, msg.c_str());
+  std::exit(2);
+}
+
+/// The operand of the value option at argv[i]; a missing one is an error.
+inline const char* operand(int argc, char** argv, int i) {
+  if (i + 1 >= argc) {
+    usage_error(argv[0], std::string(argv[i]) + " requires a value");
+  }
+  return argv[i + 1];
+}
+
+/// Checked integer operand: the whole token must be a number in [lo, hi].
+/// std::atoi would silently turn "x" into 0.
+inline int int_operand(int argc, char** argv, int i, long lo, long hi) {
+  const char* text = operand(argc, argv, i);
+  errno = 0;
+  char* end = nullptr;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0') {
+    usage_error(argv[0], std::string(argv[i]) + ": invalid integer '" + text +
+                             "'");
+  }
+  if (errno == ERANGE || v < lo || v > hi) {
+    usage_error(argv[0], std::string(argv[i]) + ": value " + text +
+                             " out of range [" + std::to_string(lo) + ", " +
+                             std::to_string(hi) + "]");
+  }
+  return static_cast<int>(v);
+}
+
+/// Suite circuits named on the command line (all when none is named), minus
+/// those above --max-gates.  Checks every operand: an unknown name, a
+/// missing value or a malformed --max-gates/--jobs integer exits 2.
 inline std::vector<SuiteEntry> select_circuits(int argc, char** argv) {
   std::vector<std::string> names;
   int max_gates = 1 << 30;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--max-gates") == 0 && i + 1 < argc) {
-      max_gates = std::atoi(argv[++i]);
-    } else if (option_with_value(argv[i]) && i + 1 < argc) {
-      ++i;  // not ours; skip its value so it is not taken for a circuit name
+    if (std::strcmp(argv[i], "--max-gates") == 0) {
+      max_gates = int_operand(argc, argv, i++, 1, 1 << 30);
+    } else if (std::strcmp(argv[i], "--jobs") == 0) {
+      int_operand(argc, argv, i++, 0, 4096);  // read by select_jobs
+    } else if (option_with_value(argv[i])) {
+      operand(argc, argv, i++);  // --json: read by select_json_path
     } else if (argv[i][0] != '-') {
       names.emplace_back(argv[i]);
     }
+  }
+  for (const std::string& n : names) {
+    bool known = false;
+    for (const SuiteEntry& e : paper_suite()) known |= n == e.name;
+    if (!known) usage_error(argv[0], "unknown circuit '" + n + "'");
   }
   std::vector<SuiteEntry> out;
   for (const SuiteEntry& e : paper_suite()) {
@@ -63,8 +109,10 @@ inline std::vector<SuiteEntry> select_circuits(int argc, char** argv) {
 
 /// --jobs value (default 0 = one executor per hardware thread).
 inline int select_jobs(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0) return std::atoi(argv[i + 1]);
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--jobs") == 0) {
+      return int_operand(argc, argv, i, 0, 4096);
+    }
   }
   return 0;
 }

@@ -17,6 +17,8 @@ constexpr double kTpGe = 1.5;
 
 int main(int argc, char** argv) {
   using namespace fsct;
+  // Validates every operand (exit 2 on a bad one) before any output.
+  const auto circuits = benchtool::select_circuits(argc, argv);
   benchtool::JsonReport json(benchtool::select_json_path(argc, argv));
   std::printf("Figure 1: scan overhead, conventional MUX scan vs TPI\n");
   std::printf("%-10s %-8s %-6s | %-9s | %-9s %-9s %-5s %-9s | %-9s %-9s\n",
@@ -24,7 +26,7 @@ int main(int argc, char** argv) {
               "pinnedPI", "GE saved", "no-route");
   double total_saved = 0;
   long total_ffs = 0, total_func = 0;
-  for (const SuiteEntry& e : benchtool::select_circuits(argc, argv)) {
+  for (const SuiteEntry& e : circuits) {
     Netlist mux_nl = build_suite_circuit(e);
     MuxScanOptions mopt;
     mopt.num_chains = e.chains;

@@ -8,11 +8,13 @@
 
 int main(int argc, char** argv) {
   using namespace fsct;
+  // Validates every operand (exit 2 on a bad one) before any output.
+  const auto circuits = benchtool::select_circuits(argc, argv);
   benchtool::JsonReport json(benchtool::select_json_path(argc, argv));
   std::cout << "Table 1: test suite\n";
   print_table1_header(std::cout);
   Table1Row total{"total", 0, 0, 0, 0};
-  for (const SuiteEntry& e : benchtool::select_circuits(argc, argv)) {
+  for (const SuiteEntry& e : circuits) {
     const benchtool::Prepared p = benchtool::prepare(e);
     Table1Row r{e.name, p.base_gates, p.nl.dffs().size(), p.faults.size(),
                 p.design.chains.size()};

@@ -14,6 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace fsct;
+  // Validates every operand (exit 2 on a bad one) before any output.
+  const auto circuits = benchtool::select_circuits(argc, argv);
   benchtool::JsonReport json(benchtool::select_json_path(argc, argv));
   ThreadPool pool(benchtool::select_jobs(argc, argv));
   benchtool::warn_if_oversubscribed(pool.jobs());
@@ -21,7 +23,7 @@ int main(int argc, char** argv) {
             << ")\n";
   print_table2_header(std::cout);
   Table2Row total{"total", 0, 0, 0, 0};
-  for (const SuiteEntry& e : benchtool::select_circuits(argc, argv)) {
+  for (const SuiteEntry& e : circuits) {
     const benchtool::Prepared p = benchtool::prepare(e);
     ObsRegistry reg;
     const auto t0 = std::chrono::steady_clock::now();

@@ -14,6 +14,8 @@
 
 int main(int argc, char** argv) {
   using namespace fsct;
+  // Validates every operand (exit 2 on a bad one) before any output.
+  const auto circuits = benchtool::select_circuits(argc, argv);
   benchtool::JsonReport json(benchtool::select_json_path(argc, argv));
   PipelineOptions opt;
   opt.jobs = benchtool::select_jobs(argc, argv);
@@ -28,7 +30,7 @@ int main(int argc, char** argv) {
   print_table3_header(std::cout);
   Table3Row total{"total"};
   std::size_t total_faults = 0, total_affecting = 0;
-  for (const SuiteEntry& e : benchtool::select_circuits(argc, argv)) {
+  for (const SuiteEntry& e : circuits) {
     const benchtool::Prepared p = benchtool::prepare(e);
     ObsRegistry reg;
     opt.obs = &reg;

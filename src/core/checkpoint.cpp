@@ -1,8 +1,11 @@
-#include "shard/checkpoint.h"
+#include "core/checkpoint.h"
 
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -11,16 +14,14 @@
 
 #include "core/io_util.h"
 #include "core/json.h"
+#include "core/obs.h"
+#include "netlist/bench_io.h"
 #include "sim/value.h"
 
 namespace fsct {
 namespace {
 
 constexpr const char* kSchema = "fsct-ckpt-v1";
-
-constexpr const char* kVerdictNames[] = {
-    "detected", "unverified", "untestable", "aborted", "nosites",
-};
 
 [[noreturn]] void fail(const std::string& name, std::size_t lineno,
                        const std::string& msg) {
@@ -173,6 +174,146 @@ std::vector<std::size_t> parse_u64_array(const JVal& v,
   return out;
 }
 
+std::uint64_t fnv1a64(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// -------------------------------------------------------------- the runner --
+
+// Written by the handler on whichever thread takes the signal, read by the
+// pipeline's calling thread at safe points: a lock-free atomic is both
+// async-signal-safe and race-free across threads.
+std::atomic<bool> g_stop_requested{false};
+static_assert(std::atomic<bool>::is_always_lock_free);
+
+void stop_handler(int) {
+  g_stop_requested.store(true, std::memory_order_relaxed);
+}
+
+// SIGTERM/SIGINT request a cooperative stop at the next safe point for the
+// guard's lifetime; the previous actions come back on scope exit.
+struct StopSignalGuard {
+  struct sigaction old_term {};
+  struct sigaction old_int {};
+  bool installed = false;
+
+  explicit StopSignalGuard(bool install) {
+    g_stop_requested.store(false, std::memory_order_relaxed);
+    if (!install) return;
+    struct sigaction sa {};
+    sa.sa_handler = stop_handler;
+    sigemptyset(&sa.sa_mask);
+    sa.sa_flags = SA_RESTART;
+    ::sigaction(SIGTERM, &sa, &old_term);
+    ::sigaction(SIGINT, &sa, &old_int);
+    installed = true;
+  }
+  ~StopSignalGuard() {
+    if (installed) {
+      ::sigaction(SIGTERM, &old_term, nullptr);
+      ::sigaction(SIGINT, &old_int, nullptr);
+    }
+  }
+  StopSignalGuard(const StopSignalGuard&) = delete;
+  StopSignalGuard& operator=(const StopSignalGuard&) = delete;
+};
+
+// The snapshot a safe point hands to the writer: resume state plus the
+// registry's totals at that instant (the pool is idle at safe points, so
+// they are complete).
+CheckpointData snapshot(std::uint64_t hash, const PipelineProgress& pg,
+                        const ObsRegistry* obs) {
+  CheckpointData ck;
+  ck.hash = hash;
+  ck.resume.phase = pg.next;
+  ck.resume.partial = *pg.res;
+  ck.resume.podem_next = pg.podem_next;
+  if (pg.next == PipelinePhase::S2Podem) {
+    ck.resume.comb_covered = *pg.comb_covered;
+  }
+  if (obs == nullptr) return ck;
+  for (std::size_t i = 0; i < kNumCounters; ++i) {
+    const Ctr c = static_cast<Ctr>(i);
+    if (const std::uint64_t n = obs->total(c)) {
+      ck.counters.emplace_back(counter_name(c), n);
+    }
+  }
+  for (std::size_t i = 0; i < kNumHists; ++i) {
+    const Hist h = static_cast<Hist>(i);
+    const auto buckets = obs->hist_total(h);
+    const std::uint64_t sum = obs->hist_sum(h);
+    bool any = sum != 0;
+    for (std::uint64_t b : buckets) any |= b != 0;
+    if (!any) continue;
+    CheckpointData::HistState hs;
+    hs.name = hist_name(h);
+    hs.sum = sum;
+    hs.buckets.assign(buckets.begin(), buckets.end());
+    ck.hists.push_back(std::move(hs));
+  }
+  if (obs->attribution_enabled()) {
+    for (std::size_t f = 0; f < obs->attribution_faults(); ++f) {
+      for (std::size_t a = 0; a < kNumAttrs; ++a) {
+        const Attr col = static_cast<Attr>(a);
+        if (const std::uint64_t n = obs->attr_total(col, f)) {
+          ck.attr.push_back({f, attr_name(col), n});
+        }
+      }
+    }
+  }
+  return ck;
+}
+
+// Reverse lookup of an observability name (core/obs.h) to its enum value;
+// false on names this build does not know.
+template <typename E>
+bool from_name(const std::string& name, std::size_t count,
+               const char* (*name_of)(E), E* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    if (name == name_of(static_cast<E>(i))) {
+      *out = static_cast<E>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+// Adds the interrupted run's observability totals to `obs`, so the resumed
+// run's report carries full-run tallies.
+void import_totals(const CheckpointData& ck, std::size_t num_faults,
+                   ObsRegistry& obs) {
+  // Attribution must be sized before cells can be charged; the pipeline's
+  // own init is idempotent.
+  if (obs.attribution_requested()) obs.init_attribution(num_faults);
+  for (const auto& [name, n] : ck.counters) {
+    Ctr c;
+    if (!from_name(name, kNumCounters, counter_name, &c)) {
+      throw CheckpointError("checkpoint has unknown counter: " + name);
+    }
+    obs.add(c, n);
+  }
+  for (const CheckpointData::HistState& h : ck.hists) {
+    Hist hh;
+    if (!from_name(h.name, kNumHists, hist_name, &hh)) {
+      throw CheckpointError("checkpoint has unknown histogram: " + h.name);
+    }
+    obs.import_hist(hh, h.buckets, h.sum);
+  }
+  for (const CheckpointData::AttrCell& cell : ck.attr) {
+    Attr a;
+    if (!from_name(cell.column, kNumAttrs, attr_name, &a)) {
+      throw CheckpointError("checkpoint has unknown attribution column: " +
+                            cell.column);
+    }
+    obs.charge(a, cell.fault, cell.count);
+  }
+}
+
 }  // namespace
 
 std::string serialize_checkpoint(const CheckpointData& data) {
@@ -263,31 +404,8 @@ std::string serialize_checkpoint(const CheckpointData& data) {
   os << "]}\n";
 
   // Every line before the sentinel counts: the header, the nine fixed
-  // sections, the optional comb section, then one line per group/final.
-  std::size_t lines = 10 + (data.resume.phase == PipelinePhase::S2Podem);
-
-  for (const auto& [gi, go] : data.resume.groups_done) {
-    os << "{\"section\":\"group\",\"gi\":" << gi << ",\"detected\":";
-    append_u64_array(os, go.detected);
-    os << ",\"credited\":";
-    append_u64_array(os, go.credited);
-    os << ",\"unverified\":" << go.unverified << ",\"seqs\":[";
-    for (std::size_t i = 0; i < go.seqs.size(); ++i) {
-      if (i) os << ',';
-      append_seq(os, go.seqs[i]);
-    }
-    os << "]}\n";
-    ++lines;
-  }
-
-  for (const auto& [id, fo] : data.resume.finals_done) {
-    os << "{\"section\":\"final\",\"id\":" << id << ",\"verdict\":\""
-       << kVerdictNames[static_cast<std::size_t>(fo.verdict)] << "\",\"seq\":";
-    append_seq(os, fo.seq);
-    os << "}\n";
-    ++lines;
-  }
-
+  // sections and the optional comb section.
+  const std::size_t lines = 10 + (data.resume.phase == PipelinePhase::S2Podem);
   os << "{\"section\":\"end\",\"lines\":" << lines << "}\n";
   return os.str();
 }
@@ -460,48 +578,14 @@ CheckpointData parse_checkpoint(const std::string& text,
         cell.count = as_u64(e.arr[2], name, lineno);
         data.attr.push_back(std::move(cell));
       }
-    } else if (section == "group") {
-      const std::size_t gi =
-          static_cast<std::size_t>(want_u64(v, "gi", name, lineno));
-      GroupOutcome go;
-      go.detected =
-          parse_u64_array(want(v, "detected", JVal::Arr, name, lineno), name,
-                          lineno);
-      go.credited =
-          parse_u64_array(want(v, "credited", JVal::Arr, name, lineno), name,
-                          lineno);
-      go.unverified =
-          static_cast<std::size_t>(want_u64(v, "unverified", name, lineno));
-      const JVal& seqs = want(v, "seqs", JVal::Arr, name, lineno);
-      for (const JVal& e : seqs.arr) {
-        go.seqs.push_back(parse_seq(e, name, lineno));
-      }
-      if (go.seqs.size() != go.detected.size()) {
-        fail(name, lineno, "group sequences misaligned with detections");
-      }
-      if (!data.resume.groups_done.emplace(gi, std::move(go)).second) {
-        fail(name, lineno, "duplicate group entry");
-      }
-    } else if (section == "final") {
-      const std::size_t id =
-          static_cast<std::size_t>(want_u64(v, "id", name, lineno));
-      FinalOutcome fo;
-      const std::string verdict =
-          want(v, "verdict", JVal::Str, name, lineno).str;
-      bool found = false;
-      for (std::size_t k = 0; k < std::size(kVerdictNames); ++k) {
-        if (verdict == kVerdictNames[k]) {
-          fo.verdict = static_cast<FinalVerdict>(k);
-          found = true;
-          break;
-        }
-      }
-      if (!found) fail(name, lineno, "unknown verdict \"" + verdict + "\"");
-      fo.seq = parse_seq(want(v, "seq", JVal::Arr, name, lineno), name,
-                         lineno);
-      if (!data.resume.finals_done.emplace(id, std::move(fo)).second) {
-        fail(name, lineno, "duplicate final entry");
-      }
+    } else if (section == "group" || section == "final") {
+      // Per-item step-3 records were written by the multi-process runner;
+      // the in-process pipeline has no safe point inside step 3 to resume
+      // them at.
+      fail(name, lineno,
+           "unsupported step-3 \"" + section +
+               "\" record (written by an older fsct; rerun the circuit "
+               "without --resume)");
     } else {
       fail(name, lineno, "unknown section \"" + section + "\"");
     }
@@ -548,6 +632,91 @@ CheckpointData read_checkpoint(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   return parse_checkpoint(ss.str(), path);
+}
+
+std::uint64_t checkpoint_binding_hash(const ScanModeModel& model,
+                                      std::span<const Fault> faults,
+                                      const PipelineOptions& opt) {
+  std::ostringstream os;
+  os << write_bench_string(model.levelizer().netlist());
+  const ScanDesign& d = model.design();
+  os << "|m" << d.scan_mode;
+  for (const auto& [pi, v] : d.pi_constraints) {
+    os << ";p" << pi << ':' << val_char(v);
+  }
+  for (const ScanChain& c : d.chains) {
+    os << ";c" << c.scan_in;
+    for (NodeId ff : c.ffs) os << ',' << ff;
+  }
+  os << '|';
+  for (const Fault& f : faults) {
+    os << 'f' << f.node << '/' << f.pin << '/' << (f.stuck_one ? 1 : 0) << ';';
+  }
+  os << "|o" << opt.auto_dist << ',' << opt.dist.large_dist << ','
+     << opt.dist.med_dist << ',' << opt.dist.dist << ','
+     << opt.comb_backtrack_limit << ',' << opt.seq_backtrack_limit << ','
+     << opt.final_backtrack_limit << ',' << opt.comb_time_limit_ms << ','
+     << opt.seq_time_limit_ms << ',' << opt.final_time_limit_ms << ','
+     << opt.random_patterns << ',' << opt.frame_slack << ',' << opt.frame_cap
+     << ',' << opt.final_extra_frames << ',' << opt.observe_pos << ','
+     << opt.verify_easy << ',' << opt.verify_seq << ',' << opt.dominance
+     << ',' << opt.alternating_cycles << ',' << opt.observe_cycles;
+  return fnv1a64(os.str());
+}
+
+PipelineResult run_checkpointed_pipeline(const ScanModeModel& model,
+                                         std::span<const Fault> faults,
+                                         const PipelineOptions& opt,
+                                         const CheckpointOptions& copt) {
+  const std::uint64_t hash = checkpoint_binding_hash(model, faults, opt);
+
+  PipelineResume resume;
+  const bool resuming = !copt.resume_path.empty();
+  if (resuming) {
+    CheckpointData ck = read_checkpoint(copt.resume_path);
+    if (ck.hash != hash) {
+      // The hash lives in the header, so the refusal points at line 1.
+      throw CheckpointError(copt.resume_path +
+                            ": line 1: checkpoint was written by a different "
+                            "circuit or configuration (binding hash "
+                            "mismatch)");
+    }
+    if (opt.obs) import_totals(ck, faults.size(), *opt.obs);
+    resume = std::move(ck.resume);
+  }
+
+  const bool writing = !copt.checkpoint_path.empty();
+  const StopSignalGuard guard(writing);
+
+  std::size_t safepoints = 0;
+  bool wrote_any = false;
+  auto last = std::chrono::steady_clock::now();
+  PipelineHooks hooks;
+  hooks.safe_point = [&](const PipelineProgress& pg) -> bool {
+    ++safepoints;
+    const bool stop =
+        g_stop_requested.load(std::memory_order_relaxed) ||
+        (copt.stop_after_safepoints > 0 &&
+         safepoints >= static_cast<std::size_t>(copt.stop_after_safepoints));
+    if (writing) {
+      const auto now = std::chrono::steady_clock::now();
+      const bool due =
+          stop || !wrote_any || copt.checkpoint_interval_ms <= 0 ||
+          now - last >= std::chrono::milliseconds(copt.checkpoint_interval_ms);
+      if (due) {
+        write_checkpoint_atomic(copt.checkpoint_path,
+                                snapshot(hash, pg, opt.obs));
+        last = now;
+        wrote_any = true;
+      }
+    }
+    return !stop;
+  };
+
+  PipelineOptions run_opt = opt;
+  run_opt.hooks = &hooks;
+  run_opt.resume = resuming ? &resume : nullptr;
+  return run_fsct_pipeline(model, faults, run_opt);
 }
 
 }  // namespace fsct

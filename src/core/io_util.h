@@ -1,17 +1,10 @@
 // Signal-robust file-descriptor I/O.
 //
-// A 5-second CLI run can shrug off an interrupted write; a daemon cannot.
-// Under `fsct serve`, SIGUSR1 (status dumps) and SIGTERM (drain) are
-// installed *without* SA_RESTART — the accept/poll loops must wake — so any
-// blocking read/write in the process can return early with EINTR or come
-// back short.  Every fd-level write in the heartbeat/status/serve paths goes
-// through these helpers, which retry EINTR and resume short writes until the
-// whole buffer is on the wire (or a real error ends the stream).
-//
-// Seeing EPIPE as an *error return* (rather than a process-fatal signal)
-// requires SIGPIPE to be ignored; ServeServer::run() installs SIG_IGN for
-// its lifetime, so a client that hangs up mid-response fails only that
-// connection's write, never the daemon.
+// SIGUSR1 (status dumps) is installed *without* SA_RESTART, so a blocking
+// read or write in the process can return early with EINTR or come back
+// short.  Every fd-level write on the heartbeat/status paths goes through
+// these helpers, which retry EINTR and resume short writes until the whole
+// buffer is written (or a real error ends the stream).
 #pragma once
 
 #include <cstddef>
@@ -20,9 +13,8 @@
 namespace fsct {
 
 /// Writes all `n` bytes of `p` to `fd`, retrying on EINTR and continuing
-/// after short writes.  Returns false on any other error (EPIPE when the
-/// peer hung up, EBADF after a drain closed the socket, ...); errno is left
-/// at the failing call's value.
+/// after short writes.  Returns false on any other error (EPIPE, ENOSPC,
+/// ...); errno is left at the failing call's value.
 bool write_all(int fd, const void* p, std::size_t n);
 
 /// write_all of `line` plus a trailing '\n' in a single buffer, so the line

@@ -1,6 +1,8 @@
 #include "core/json.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -281,6 +283,78 @@ std::string json_escape(const std::string& s) {
       }
     }
   }
+  return out;
+}
+
+namespace {
+
+/// Integers print as integers (counter values must round-trip bytewise);
+/// everything else gets enough digits to be unambiguous.
+std::string fmt_num(double d) {
+  if (d == std::floor(d) && std::fabs(d) < 9.0e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
+    return buf;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  return buf;
+}
+
+bool normalized_drop(const std::string& key) {
+  return key == "pool" || key.find("seconds") != std::string::npos ||
+         key.find("time") != std::string::npos ||
+         key.find("passes") != std::string::npos ||
+         key.find("cycles") != std::string::npos ||
+         key.find("rss") != std::string::npos;
+}
+
+void dump_normalized(const JVal& v, std::string& out) {
+  switch (v.kind) {
+    case JVal::Null: out += "null"; break;
+    case JVal::Bool: out += v.b ? "true" : "false"; break;
+    case JVal::Num: out += fmt_num(v.num); break;
+    case JVal::Str:
+      out += '"';
+      out += json_escape(v.str);
+      out += '"';
+      break;
+    case JVal::Arr:
+      out += '[';
+      for (std::size_t i = 0; i < v.arr.size(); ++i) {
+        if (i) out += ',';
+        dump_normalized(v.arr[i], out);
+      }
+      out += ']';
+      break;
+    case JVal::Obj: {
+      std::vector<const std::pair<std::string, JVal>*> kept;
+      for (const auto& kv : v.obj) {
+        if (!normalized_drop(kv.first)) kept.push_back(&kv);
+      }
+      std::sort(kept.begin(), kept.end(),
+                [](const auto* a, const auto* b) { return a->first < b->first; });
+      out += '{';
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        if (i) out += ',';
+        out += '"';
+        out += json_escape(kept[i]->first);
+        out += "\":";
+        dump_normalized(kept[i]->second, out);
+      }
+      out += '}';
+      break;
+    }
+  }
+}
+
+}  // namespace
+
+std::string normalized_report(const std::string& report_json) {
+  JsonParser p(report_json, "report");
+  const JVal v = p.parse();
+  std::string out;
+  dump_normalized(v, out);
   return out;
 }
 

@@ -85,4 +85,12 @@ void json_uint_map(const JsonParser& p, const JVal& v,
 /// JSON string escaping for the writers (control chars to \uXXXX).
 std::string json_escape(const std::string& s);
 
+/// Canonical comparison form of a run report: parsed, every key containing
+/// "seconds"/"time"/"passes"/"cycles"/"rss" and the scheduler-dependent
+/// "pool" section dropped recursively (timings, RSS, pass counts and worker
+/// stats legitimately vary), keys sorted, re-serialized compactly.  Two
+/// reports describe the same screening result iff their normalized forms
+/// are bytewise equal.  tools/check.sh's strip.py mirrors these rules.
+std::string normalized_report(const std::string& report_json);
+
 }  // namespace fsct

@@ -145,9 +145,8 @@ bool take_sigusr1() {
 
 // Reference-counted sigaction installation.  A monitor acquires the handler
 // on start and releases it on teardown; the action that was installed before
-// the *first* acquire is restored when the count reaches zero, so a daemon
-// cycling one monitor per session never leaves our handler pointing at a
-// dead registry.  install_sigusr1_handler() sets g_sig_pinned, which keeps
+// the *first* acquire is restored when the count reaches zero, so a caller
+// cycling monitors never leaves our handler behind.  install_sigusr1_handler() sets g_sig_pinned, which keeps
 // the handler installed for the rest of the process (the CLI's behaviour).
 std::mutex g_sig_m;
 int g_sig_refs = 0;
@@ -160,10 +159,10 @@ void sigusr1_install_locked() {
   struct sigaction sa {};
   sa.sa_handler = sigusr1_handler;
   sigemptyset(&sa.sa_mask);
-  // Deliberately no SA_RESTART: blocking syscalls must wake with EINTR so a
-  // serving daemon's poll/accept loops notice signals promptly.  Every write
-  // on the status/heartbeat paths goes through core/io_util.h's retry
-  // helpers, which absorb the interruptions this causes.
+  // No SA_RESTART: an interrupted blocking call returns EINTR instead of
+  // silently resuming.  Every write on the status/heartbeat paths goes
+  // through core/io_util.h's retry helpers, which absorb the interruptions
+  // this causes.
   sa.sa_flags = 0;
   sigaction(SIGUSR1, &sa, &g_sig_prev);
   g_sig_installed = true;
@@ -557,7 +556,7 @@ ObsMonitor::ObsMonitor(Options opt) : opt_(std::move(opt)) {
       write_line(2, "[fsct] " + line);
     };
   }
-  if (opt_.sigusr1) sigusr1_acquire();
+  sigusr1_acquire();
   thread_ = std::thread([this] { loop(); });
 }
 
@@ -568,7 +567,7 @@ ObsMonitor::~ObsMonitor() {
   }
   cv_.notify_all();
   thread_.join();
-  if (opt_.sigusr1) sigusr1_release();
+  sigusr1_release();
 }
 
 void ObsMonitor::dump_now() { emit_status(); }
@@ -583,7 +582,7 @@ void ObsMonitor::loop() {
                    [this] { return stop_; });
       if (stop_) return;
     }
-    if (opt_.sigusr1 && take_sigusr1()) emit_status();
+    if (take_sigusr1()) emit_status();
     if (opt_.heartbeat &&
         std::chrono::steady_clock::now() >= next_heartbeat) {
       emit_heartbeat();
@@ -595,9 +594,7 @@ void ObsMonitor::loop() {
 
 void ObsMonitor::emit_status() {
   std::ostringstream oss;
-  if (opt_.registry) {
-    opt_.registry->write_status(oss);
-  } else {
+  {
     std::lock_guard<std::mutex> lk(g_status_m);
     if (!g_status_reg) {
       opt_.sink("status: no active run");
@@ -641,10 +638,7 @@ HeartbeatRate::Estimate HeartbeatRate::update(
 void ObsMonitor::emit_heartbeat() {
   ObsRegistry::PhaseProgress p;
   std::string ctx;
-  if (opt_.registry) {
-    p = opt_.registry->phase_progress();
-    ctx = opt_.registry->context();
-  } else {
+  {
     std::lock_guard<std::mutex> lk(g_status_m);
     if (!g_status_reg) return;
     p = g_status_reg->phase_progress();
@@ -691,52 +685,6 @@ std::string ObsRegistry::counters_json() const {
   return out + "}}";
 }
 
-double hist_quantile(const std::array<std::uint64_t, kHistBuckets>& buckets,
-                     double q) {
-  std::uint64_t total = 0;
-  for (const std::uint64_t b : buckets) total += b;
-  if (total == 0) return -1;
-  q = std::min(1.0, std::max(0.0, q));
-  // The sample with (1-based) rank ceil(q * total); rank 0 maps to rank 1.
-  const double want = q * static_cast<double>(total);
-  std::uint64_t rank = static_cast<std::uint64_t>(want);
-  if (static_cast<double>(rank) < want) ++rank;
-  if (rank == 0) rank = 1;
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kHistBuckets; ++i) {
-    if (buckets[i] == 0) continue;
-    if (cum + buckets[i] >= rank) {
-      const double lo = i == 0 ? 0.0 : static_cast<double>(std::uint64_t{1}
-                                                           << (i - 1));
-      if (i + 1 >= kHistBuckets) return lo;  // open tail: floor, no upper edge
-      const double hi =
-          i == 0 ? 0.0 : static_cast<double>((std::uint64_t{1} << i) - 1);
-      const double frac = static_cast<double>(rank - cum) /
-                          static_cast<double>(buckets[i]);
-      return lo + (hi - lo) * frac;
-    }
-    cum += buckets[i];
-  }
-  return -1;  // unreachable: total > 0 puts some rank in some bucket
-}
-
-void ObsRegistry::merge_from(const ObsRegistry& other) {
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    const Ctr c = static_cast<Ctr>(i);
-    if (const std::uint64_t n = other.total(c)) add(c, n);
-  }
-  Shard& s = shard();
-  for (std::size_t h = 0; h < kNumHists; ++h) {
-    const auto b = other.hist_total(static_cast<Hist>(h));
-    for (std::size_t i = 0; i < kHistBuckets; ++i) {
-      if (b[i]) s.hists[h][i].fetch_add(b[i], std::memory_order_relaxed);
-    }
-    if (const std::uint64_t sum = other.hist_sum(static_cast<Hist>(h))) {
-      s.hist_sums[h].fetch_add(sum, std::memory_order_relaxed);
-    }
-  }
-}
-
 void ObsRegistry::import_hist(Hist h, std::span<const std::uint64_t> buckets,
                               std::uint64_t sum) {
   Shard& s = shard();
@@ -751,11 +699,6 @@ void ObsRegistry::import_hist(Hist h, std::span<const std::uint64_t> buckets,
 }
 
 void ObsRegistry::write_openmetrics(std::ostream& os) const {
-  write_openmetrics_body(os);
-  os << "# EOF\n";
-}
-
-void ObsRegistry::write_openmetrics_body(std::ostream& os) const {
   // Counters: the TYPE line names the metric family, samples carry the
   // mandatory `_total` suffix.
   for (std::size_t i = 0; i < kNumCounters; ++i) {
@@ -790,6 +733,7 @@ void ObsRegistry::write_openmetrics_body(std::ostream& os) const {
     os << "fsct_" << kHistNames[i] << "_sum " << hist_sum(h) << "\n";
     os << "fsct_" << kHistNames[i] << "_count " << cum << "\n";
   }
+  os << "# EOF\n";
 }
 
 void ObsRegistry::write_run_report(std::ostream& os, const PipelineResult& r,

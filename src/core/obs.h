@@ -328,26 +328,14 @@ class ObsRegistry {
   void write_run_report(std::ostream& os, const PipelineResult& r,
                         const AttrContext* ctx = nullptr) const;
   /// OpenMetrics / Prometheus text exposition of the counters, gauges and
-  /// histograms — the scrape surface `fsct serve` mounts at GET /metrics
-  /// (src/serve/http.h; the daemon prepends its own fsct_serve_* series).
-  /// Ends with the required "# EOF" terminator.
+  /// histograms (`fsct test --metrics-out`).  Ends with the required
+  /// "# EOF" terminator.
   void write_openmetrics(std::ostream& os) const;
-  /// The exposition without the "# EOF" terminator, for embedding in a
-  /// larger scrape page (the daemon's /metrics appends its own series and
-  /// writes one terminator for the whole page).
-  void write_openmetrics_body(std::ostream& os) const;
-
-  /// Adds `other`'s merged counter and histogram totals (buckets + sums)
-  /// into this registry's calling-thread shard.  `fsct serve` folds each
-  /// finished session's registry into one daemon-lifetime registry this way,
-  /// so /metrics exposes cumulative pipeline counters across all requests.
-  /// Gauges are set-once run facts and are deliberately not merged.
-  void merge_from(const ObsRegistry& other);
 
   /// Adds pre-aggregated histogram state (per-bucket counts + sample sum)
-  /// into the calling thread's shard — the import path for shard-worker
-  /// reply deltas and checkpoint restore, where only the serialized totals
-  /// of a foreign registry are available.
+  /// into the calling thread's shard — the checkpoint-restore path
+  /// (core/checkpoint.h), where only the serialized totals of an earlier
+  /// run are available.
   void import_hist(Hist h, std::span<const std::uint64_t> buckets,
                    std::uint64_t sum);
 
@@ -429,17 +417,6 @@ class ObsSpan {
   double t0_us_ = 0;
 };
 
-/// Approximate quantile over a log2 bucket array using the Hist scheme
-/// (bucket 0 counts value 0; bucket i >= 1 counts [2^(i-1), 2^i - 1]; the
-/// last bucket absorbs the open-ended tail).  `q` is clamped to [0, 1] and
-/// the result interpolates linearly inside the containing bucket, so it is
-/// an estimate bounded by that bucket's range, not an exact order statistic.
-/// Returns -1 on an empty histogram; a quantile landing in the tail bucket
-/// reports the bucket's lower bound (a floor — the tail has no upper edge).
-/// This is how `fsct stat` turns scraped latency buckets into p50/p90/p99.
-double hist_quantile(const std::array<std::uint64_t, kHistBuckets>& buckets,
-                     double q);
-
 // --- long-run visibility ----------------------------------------------------
 
 /// CPU seconds consumed by the whole process (all threads) so far; the
@@ -459,8 +436,8 @@ ObsRegistry* set_status_registry(ObsRegistry* reg);
 ///
 /// Installation is sigaction-based and reference-counted: each ObsMonitor
 /// acquires the handler on start and releases it on teardown, restoring the
-/// previously installed action once the last monitor is gone — a daemon that
-/// starts and stops a monitor per session never leaves a dangling handler
+/// previously installed action once the last monitor is gone — a library
+/// caller that starts and stops monitors never leaves a dangling handler
 /// behind.  This function is the CLI's "keep it for the whole run" variant:
 /// it installs the handler if needed and disables the restore-on-zero.  The
 /// handler is installed without SA_RESTART so blocking syscalls wake with
@@ -481,10 +458,10 @@ void test_phase_sleep(const char* phase);
 /// the window policy is unit-testable without a live monitor thread:
 ///
 ///  * the window resets when the phase changes (phase identity is the name
-///    literal's address) **and** when `done` moves backwards — a daemon
-///    re-running the pipeline reuses the same phase literals, so a fresh
-///    phase with the same name would otherwise poison the rate with stale
-///    samples and print an absurd ETA;
+///    literal's address) **and** when `done` moves backwards — a caller
+///    re-running the pipeline (bench repetitions) reuses the same phase
+///    literals, so a fresh phase with the same name would otherwise poison
+///    the rate with stale samples and print an absurd ETA;
 ///  * remaining work is clamped at zero: mid-phase total shrinkage (ledger
 ///    drops reduce step-3 totals) can legitimately leave done > total, which
 ///    must read as "done any moment now", never as a negative or wrapped
@@ -525,14 +502,6 @@ class ObsMonitor {
     /// Receives every output line (no trailing newline); default writes
     /// "[fsct] <line>" to stderr through the EINTR-safe write_all path.
     std::function<void(const std::string&)> sink;
-    /// When set, this monitor observes `registry` instead of the process-wide
-    /// status registry — the per-session monitors of `fsct serve` each watch
-    /// their own run.  The caller owns the registry and must keep it alive
-    /// for the monitor's lifetime (destroy the monitor first).
-    ObsRegistry* registry = nullptr;
-    /// Acquire the SIGUSR1 handler and answer dumps.  Per-session monitors
-    /// turn this off: only the daemon-wide (or CLI) monitor owns the signal.
-    bool sigusr1 = true;
   };
   ObsMonitor();  // default options: SIGUSR1 dumps only, no heartbeat
   explicit ObsMonitor(Options opt);

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <map>
+#include <memory>
 #include <optional>
 #include <random>
 #include <thread>
 
 #include "core/obs.h"
 #include "core/parallel.h"
-#include "core/pipeline_exec.h"
 #include "fault/comb_fault_sim.h"
 
 namespace fsct {
@@ -21,23 +20,364 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// Outcome of one step-3 group model: faults its verified sequences detect
+/// (in in-group target order, aligned with `seqs`), faults credited by the
+/// group-local ride-along ledger, and in-model detections whose realised
+/// test failed end-to-end verification.
+struct GroupOutcome {
+  std::vector<std::size_t> detected;
+  std::vector<TestSequence> seqs;
+  std::vector<std::size_t> credited;
+  std::size_t unverified = 0;
+};
+
+/// Verdict of one final-pass individual model (verification included: a
+/// Detected here has already survived its pair replay when verify_seq is on).
+enum class FinalVerdict : std::uint8_t {
+  Detected,
+  Unverified,
+  Untestable,
+  Aborted,
+  NoSites,
+};
+
+struct FinalOutcome {
+  FinalVerdict verdict = FinalVerdict::NoSites;
+  TestSequence seq;  ///< realised sequence when Detected, else empty
+};
+
+/// The fault-parallel phases of the pipeline, run on the in-process pool.
+/// Every per-item computation is a pure function of (model, options, item)
+/// and lands in its own output slot, so the caller's in-order merge makes
+/// the result identical at any job count (DESIGN.md §5c).  `ids` are
+/// indices into the run's collapsed fault list; outputs align with them.
+class ParallelPhases {
+ public:
+  ParallelPhases(const ScanModeModel& model, std::span<const Fault> faults,
+                 const PipelineOptions& opt, ThreadPool& pool);
+
+  /// Simulates `seq` against faults[ids] from the all-X state; returns a
+  /// 0/1 detected flag per id.  Used for the step-1 verification, the
+  /// flush-credit pre-pass and the cross-group ledger pass.
+  std::vector<char> seq_detect(const TestSequence& seq,
+                               std::span<const std::size_t> ids);
+
+  /// Step-2 sequential verification: walks `vectors` in order against the
+  /// (shrinking) open set of faults[ids]; returns, per id, the index of the
+  /// first vector whose scan sequence detects it, or -1.
+  std::vector<int> s2_first_vec(std::span<const ScanVector> vectors,
+                                std::span<const std::size_t> ids);
+
+  /// Runs every step-3 group model; one outcome per group.
+  std::vector<GroupOutcome> run_groups(const std::vector<AtpgGroup>& groups);
+
+  /// Runs the final-pass individual models, verification included; one
+  /// outcome per entry of `final_ids`.
+  std::vector<FinalOutcome> run_finals(
+      std::span<const std::size_t> final_ids,
+      const std::vector<std::vector<ChainWindow>>& windows);
+
+ private:
+  const ScanModeModel& model_;
+  std::span<const Fault> faults_;
+  const PipelineOptions& opt_;
+  ThreadPool& pool_;
+  ObsRegistry* obs_;
+  std::vector<NodeId> observe_;
+  std::size_t maxlen_;
+};
+
+/// The observation list every sequential simulation of the pipeline uses:
+/// primary outputs plus the scan-out ports (deduped, in that order).
+std::vector<NodeId> observe_list(const ScanModeModel& model) {
+  const Netlist& nl = model.levelizer().netlist();
+  std::vector<NodeId> observe = nl.outputs();
+  for (NodeId so : model.scan_outs()) {
+    if (std::find(observe.begin(), observe.end(), so) == observe.end()) {
+      observe.push_back(so);
+    }
+  }
+  return observe;
+}
+
+ParallelPhases::ParallelPhases(const ScanModeModel& model,
+                               std::span<const Fault> faults,
+                               const PipelineOptions& opt, ThreadPool& pool)
+    : model_(model),
+      faults_(faults),
+      opt_(opt),
+      pool_(pool),
+      obs_(opt.obs),
+      observe_(observe_list(model)),
+      maxlen_(model.max_chain_length()) {}
+
+std::vector<char> ParallelPhases::seq_detect(
+    const TestSequence& seq, std::span<const std::size_t> ids) {
+  std::vector<char> det(ids.size(), 0);
+  if (ids.empty()) return det;
+  std::vector<Fault> fv;
+  fv.reserve(ids.size());
+  for (std::size_t id : ids) fv.push_back(faults_[id]);
+  SeqFaultSim sim(model_.levelizer(), observe_, opt_.simd_width);
+  const SeqFaultSimResult r = sim.run(seq, fv, Val::X, &pool_, obs_, ids);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    det[k] = r.detect_cycle[k] >= 0;
+  }
+  return det;
+}
+
+std::vector<int> ParallelPhases::s2_first_vec(
+    std::span<const ScanVector> vectors, std::span<const std::size_t> ids) {
+  std::vector<int> first(ids.size(), -1);
+  if (ids.empty() || vectors.empty()) return first;
+  const std::size_t observe_cycles =
+      opt_.observe_cycles ? opt_.observe_cycles : maxlen_ + 2;
+  ScanSequenceBuilder sb(model_.levelizer().netlist(), model_.design());
+  SeqFaultSim ssim(model_.levelizer(), observe_, opt_.simd_width);
+  std::vector<char> det(ids.size(), 0);
+  for (std::size_t vi = 0; vi < vectors.size(); ++vi) {
+    std::vector<Fault> open;
+    std::vector<std::size_t> open_pos;
+    std::vector<std::size_t> open_ids;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (!det[k]) {
+        open.push_back(faults_[ids[k]]);
+        open_pos.push_back(k);
+        open_ids.push_back(ids[k]);
+      }
+    }
+    if (open.empty()) break;  // every later vector sees an empty open set too
+    const TestSequence seq = sb.apply_comb_vector(
+        vectors[vi].ff_state, vectors[vi].pi_vals, observe_cycles);
+    const SeqFaultSimResult r =
+        ssim.run(seq, open, Val::X, &pool_, obs_, open_ids);
+    for (std::size_t m = 0; m < open.size(); ++m) {
+      if (r.detect_cycle[m] >= 0) {
+        det[open_pos[m]] = 1;
+        first[open_pos[m]] = static_cast<int>(vi);
+      }
+    }
+  }
+  return first;
+}
+
+std::vector<GroupOutcome> ParallelPhases::run_groups(
+    const std::vector<AtpgGroup>& groups) {
+  std::vector<GroupOutcome> done(groups.size());
+  SeqFaultSim s3sim(model_.levelizer(), observe_, opt_.simd_width);
+  // Realises an in-model detection and (optionally) verifies it end to end.
+  // Returns the realised sequence when the detection stands, nullopt when it
+  // does not reproduce.  Pure w.r.t. shared state, so group tasks can call it
+  // concurrently; the skeleton merges into the result serially.
+  auto realize_s3_detection =
+      [&](const ReducedCircuitBuilder& bld, const ReducedModel& rm,
+          const AtpgResult& ar,
+          std::size_t fault_idx) -> std::optional<TestSequence> {
+    const SeqTest t = bld.extract_test(rm, ar);
+    TestSequence seq = bld.realize(t, maxlen_ + 2);
+    if (opt_.verify_seq) {
+      const Fault one[1] = {faults_[fault_idx]};
+      const std::size_t aid[1] = {fault_idx};
+      if (s3sim.run_serial(seq, one, Val::X, obs_, aid).detect_cycle[0] < 0) {
+        return std::nullopt;
+      }
+    }
+    return seq;
+  };
+
+  ReducedModelOptions ropt;
+  ropt.frame_slack = opt_.frame_slack;
+  ropt.frame_cap = opt_.frame_cap;
+  ropt.observe_pos = opt_.observe_pos;
+  ropt.atpg.backtrack_limit = opt_.seq_backtrack_limit;
+  ropt.atpg.time_limit_ms = opt_.seq_time_limit_ms;
+  ropt.atpg.obs = obs_;
+  ReducedCircuitBuilder builder(model_, ropt);
+
+  ObsRegistry* const obs = obs_;
+  auto run_group = [&](std::size_t gi) {
+    const ObsSpan span(obs, "s3.group");
+    const AtpgGroup& g = groups[gi];
+    std::vector<Fault> gf;
+    for (std::size_t j : g.fault_indices) gf.push_back(faults_[j]);
+    const ReducedModel rm = builder.build(g, gf);
+    std::vector<char> credited(g.fault_indices.size(), 0);
+    for (std::size_t k = 0; k < g.fault_indices.size(); ++k) {
+      const std::size_t j = g.fault_indices[k];
+      if (credited[k]) continue;  // this group's ledger already covers it
+      const auto sites = rm.um.map_fault(faults_[j]);
+      if (sites.empty()) continue;  // pruned away: retried in final pass
+      const AtpgResult r =
+          rm.podem->generate(sites, static_cast<std::int64_t>(j));
+      if (r.status != AtpgStatus::Detected) continue;
+      // Untestable in a *shared* window is not conclusive for absorbed
+      // faults (they may have more ctrl/obs alone): final pass decides.
+      auto seq = realize_s3_detection(builder, rm, r, j);
+      if (!seq) {
+        ++done[gi].unverified;
+        continue;
+      }
+      // Ledger ride-along: simulate the verified sequence against the
+      // group's still-open tail; whatever it detects (from the all-X
+      // start, so the verdict survives concatenation into the exported
+      // program) is credited instead of re-targeted.  Group-local state
+      // only, so tasks stay schedule-independent.
+      if (opt_.dominance && k + 1 < g.fault_indices.size()) {
+        std::vector<Fault> open;
+        std::vector<std::size_t> open_pos;
+        std::vector<std::size_t> open_ids;
+        for (std::size_t m = k + 1; m < g.fault_indices.size(); ++m) {
+          if (!credited[m]) {
+            open.push_back(faults_[g.fault_indices[m]]);
+            open_pos.push_back(m);
+            open_ids.push_back(g.fault_indices[m]);
+          }
+        }
+        if (!open.empty()) {
+          const SeqFaultSimResult rr =
+              s3sim.run(*seq, open, Val::X, nullptr, obs, open_ids);
+          for (std::size_t m = 0; m < open.size(); ++m) {
+            if (rr.detect_cycle[m] >= 0) {
+              credited[open_pos[m]] = 1;
+              done[gi].credited.push_back(g.fault_indices[open_pos[m]]);
+              // Which faults earn ride-along credit is schedule-independent
+              // (group-local state), so this charge keeps the ledger
+              // deterministic even though it happens inside a pool task.
+              if (obs) obs->charge(Attr::CreditEvents, open_ids[m]);
+            }
+          }
+        }
+      }
+      done[gi].detected.push_back(j);
+      done[gi].seqs.push_back(std::move(*seq));
+    }
+    if (obs) obs->phase_tick();
+  };
+  parallel_for(pool_, groups.size(), 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t gi = b; gi < e; ++gi) run_group(gi);
+  });
+  return done;
+}
+
+std::vector<FinalOutcome> ParallelPhases::run_finals(
+    std::span<const std::size_t> final_ids,
+    const std::vector<std::vector<ChainWindow>>& windows) {
+  std::vector<FinalOutcome> fdone(final_ids.size());
+  SeqFaultSim s3sim(model_.levelizer(), observe_, opt_.simd_width);
+  ReducedModelOptions fopt;
+  fopt.frame_slack = opt_.frame_slack;
+  fopt.frame_cap = opt_.frame_cap;
+  fopt.observe_pos = opt_.observe_pos;
+  fopt.atpg.backtrack_limit = opt_.final_backtrack_limit;
+  fopt.atpg.time_limit_ms = opt_.final_time_limit_ms;
+  fopt.atpg.obs = obs_;
+  ReducedCircuitBuilder final_builder(model_, fopt);
+
+  ObsRegistry* const obs = obs_;
+  auto run_final = [&](std::size_t k) {
+    const ObsSpan span(obs, "s3.final");
+    struct Tick {
+      ObsRegistry* obs;
+      ~Tick() {
+        if (obs) obs->phase_tick();
+      }
+    } tick{obs};
+    const std::size_t j = final_ids[k];
+    AtpgGroup g;
+    g.kind = 1;
+    g.fault_indices = {j};
+    g.window = windows[k];
+    const Fault f = faults_[j];
+    const ReducedModel rm =
+        final_builder.build(g, std::span(&f, 1), opt_.final_extra_frames);
+    const auto sites = rm.um.map_fault(f);
+    if (sites.empty()) return;  // NoSites
+    const AtpgResult r =
+        rm.podem->generate(sites, static_cast<std::int64_t>(j));
+    if (r.status == AtpgStatus::Detected) {
+      // Realise the in-model test now; end-to-end verification of all final
+      // detections is batched below as (fault, sequence) pairs so many
+      // replays retire per packed sweep.
+      const SeqTest t = final_builder.extract_test(rm, r);
+      fdone[k].seq = final_builder.realize(t, maxlen_ + 2);
+      fdone[k].verdict = FinalVerdict::Detected;
+    } else if (r.status == AtpgStatus::Untestable) {
+      fdone[k].verdict = FinalVerdict::Untestable;
+    } else {
+      fdone[k].verdict = FinalVerdict::Aborted;
+    }
+  };
+  parallel_for(pool_, final_ids.size(), 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t k = b; k < e; ++k) run_final(k);
+  });
+  // Batched verification: each (fault, realised sequence) pair is an
+  // independent replay, so the verdicts are identical to a serial
+  // one-run-per-fault loop.  A FinalOutcome::Detected leaving this call has
+  // therefore already survived end-to-end verification.
+  if (opt_.verify_seq) {
+    std::vector<FaultSeqPair> vpairs;
+    std::vector<std::size_t> vslot;
+    std::vector<std::size_t> vids;
+    for (std::size_t k = 0; k < fdone.size(); ++k) {
+      if (fdone[k].verdict == FinalVerdict::Detected) {
+        vpairs.push_back({faults_[final_ids[k]], &fdone[k].seq});
+        vslot.push_back(k);
+        vids.push_back(final_ids[k]);
+      }
+    }
+    if (!vpairs.empty()) {
+      const ObsSpan span(obs, "step3.final_verify");
+      const std::vector<int> vr =
+          s3sim.run_pairs(vpairs, Val::X, &pool_, obs, vids);
+      for (std::size_t i = 0; i < vpairs.size(); ++i) {
+        if (vr[i] < 0) {
+          fdone[vslot[i]].verdict = FinalVerdict::Unverified;
+          fdone[vslot[i]].seq.clear();
+        }
+      }
+    }
+  }
+  return fdone;
+}
+
 }  // namespace
 
+const char* pipeline_phase_name(PipelinePhase p) {
+  switch (p) {
+    case PipelinePhase::Classify: return "classify";
+    case PipelinePhase::Step1: return "step1";
+    case PipelinePhase::FlushCredit: return "flush_credit";
+    case PipelinePhase::S2Podem: return "s2.podem";
+    case PipelinePhase::S2Verify: return "s2.verify";
+    case PipelinePhase::S3Groups: return "s3.groups";
+    case PipelinePhase::S3Ledger: return "s3.ledger";
+    case PipelinePhase::S3Final: return "s3.final";
+    case PipelinePhase::Done: return "done";
+  }
+  return "?";
+}
+
+bool pipeline_phase_from_name(const std::string& name, PipelinePhase* out) {
+  for (int p = 0; p <= static_cast<int>(PipelinePhase::Done); ++p) {
+    const auto ph = static_cast<PipelinePhase>(p);
+    if (name == pipeline_phase_name(ph)) {
+      if (out) *out = ph;
+      return true;
+    }
+  }
+  return false;
+}
+
 // The pipeline skeleton.  Control flow, merge order and counter charging live
-// here and ONLY here; the data-parallel per-fault/per-group work is delegated
-// to a PipelineExec (LocalExec by default, the sharded coordinator when
-// opt.exec is set).  Every merge walks items in canonical order, so the
-// result is bitwise identical for any executor — the same argument that makes
-// `--jobs N` deterministic.
+// here on the calling thread; the fault-parallel work runs through
+// ParallelPhases on the pool.  Every merge walks items in canonical order, so
+// the result is bitwise identical at any `--jobs N`.
 //
-// Checkpoint/resume: opt.hooks->safe_point fires at phase boundaries, after
-// every PODEM target and (with an exec that reports item completion) after
-// every step-3 group/final item.  opt.resume restores the state such a
-// callback observed and skips the completed work.  Step-3 outcome/counter
-// merges happen only in the post-phase merge loops, so mid-phase checkpoints
-// never contain half-merged state: the groups_done/finals_done maps carry the
-// completed items and the merge runs exactly once, in the run that finishes
-// the phase.
+// Checkpoint/resume: opt.hooks->safe_point fires at phase boundaries and
+// after every PODEM target — always between pool calls, so the state and the
+// observability totals it sees are complete.  opt.resume restores the state
+// such a callback observed and skips the completed work; a run resumed at a
+// step-3 phase reruns that whole phase.
 PipelineResult run_fsct_pipeline(const ScanModeModel& model,
                                  std::span<const Fault> faults,
                                  const PipelineOptions& opt) {
@@ -99,12 +439,10 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
   const DistanceParams dist =
       opt.auto_dist ? DistanceParams::from_maxsize(maxlen) : opt.dist;
 
-  LocalExec local(model, faults, opt, pool);
-  PipelineExec* const exec = opt.exec ? opt.exec : &local;
+  ParallelPhases phases(model, faults, opt, pool);
 
-  // Safe-point plumbing.  `pg` views live skeleton storage; hook_check
-  // refreshes the cheap fields and reports the callback's verdict, safe_point
-  // turns a stop verdict into PipelineStopped.
+  // Safe-point plumbing: the callback sees a view of live skeleton storage;
+  // a stop verdict becomes PipelineStopped.
   std::vector<char> comb_covered(faults.size(), 0);  // PPSFP-screened
   if (rz && start == PipelinePhase::S2Podem) {
     if (rz->comb_covered.size() != faults.size()) {
@@ -115,17 +453,14 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
   }
   std::size_t podem_done =
       (rz && start == PipelinePhase::S2Podem) ? rz->podem_next : 0;
-  PipelineProgress pg;
-  auto hook_check = [&](PipelinePhase next) -> bool {
-    if (!opt.hooks || !opt.hooks->safe_point) return true;
+  auto safe_point = [&](PipelinePhase next) {
+    if (!opt.hooks || !opt.hooks->safe_point) return;
+    PipelineProgress pg;
     pg.next = next;
     pg.res = &res;
     pg.comb_covered = &comb_covered;
     pg.podem_next = podem_done;
-    return opt.hooks->safe_point(pg);
-  };
-  auto safe_point = [&](PipelinePhase next) {
-    if (!hook_check(next)) {
+    if (!opt.hooks->safe_point(pg)) {
       throw PipelineStopped(std::string("pipeline stopped before ") +
                             pipeline_phase_name(next));
     }
@@ -145,9 +480,8 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
     test_phase_sleep("classify");
     {
       const ObsSpan phase(obs, "classify");
-      std::vector<std::size_t> all_ids(faults.size());
-      for (std::size_t i = 0; i < all_ids.size(); ++i) all_ids[i] = i;
-      res.info = exec->classify(all_ids);
+      res.info = ChainFaultClassifier::classify_all_parallel(model, faults,
+                                                             pool, obs);
     }
     for (std::size_t i = 0; i < faults.size(); ++i) {
       switch (res.info[i].category) {
@@ -202,27 +536,18 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
   std::shared_ptr<const std::vector<std::vector<std::size_t>>> domsets_sp;
   std::shared_ptr<const std::vector<Cost>> fcost_sp;
   if (opt.dominance && !hard_idx.empty() && start <= PipelinePhase::S3Groups) {
-    if (opt.compiled && opt.compiled->dom && opt.compiled->domsets &&
-        opt.compiled->fcost) {
-      // Served from a compiled-model cache: the artifacts are pure functions
-      // of (netlist, fault list), so reuse is invisible to results.
-      dom = opt.compiled->dom;
-      domsets_sp = opt.compiled->domsets;
-      fcost_sp = opt.compiled->fcost;
-    } else {
-      dom = std::make_shared<DominanceInfo>(collapse_dominant(nl, faults));
-      domsets_sp = std::make_shared<std::vector<std::vector<std::size_t>>>(
-          dominated_sets(nl, faults));
-      std::vector<char> controllable(nl.size(), 0);
-      for (NodeId pi : nl.inputs()) {
-        controllable[pi] = !model.design().is_constrained(pi);
-      }
-      for (const ScanChain& c : model.design().chains) {
-        for (NodeId ff : c.ffs) controllable[ff] = 1;
-      }
-      fcost_sp = std::make_shared<std::vector<Cost>>(
-          fault_excitation_costs(lv, controllable, faults));
+    dom = std::make_shared<DominanceInfo>(collapse_dominant(nl, faults));
+    domsets_sp = std::make_shared<std::vector<std::vector<std::size_t>>>(
+        dominated_sets(nl, faults));
+    std::vector<char> controllable(nl.size(), 0);
+    for (NodeId pi : nl.inputs()) {
+      controllable[pi] = !model.design().is_constrained(pi);
     }
+    for (const ScanChain& c : model.design().chains) {
+      for (NodeId ff : c.ffs) controllable[ff] = 1;
+    }
+    fcost_sp = std::make_shared<std::vector<Cost>>(
+        fault_excitation_costs(lv, controllable, faults));
     if (start <= PipelinePhase::Classify) {
       std::size_t dominated = 0;
       for (std::size_t j : hard_idx) {
@@ -276,7 +601,7 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
         easy_idx.push_back(i);
       }
     }
-    const std::vector<char> det = exec->seq_detect(sb.alternating(cycles),
+    const std::vector<char> det = phases.seq_detect(sb.alternating(cycles),
                                                    easy_idx);
     res.easy_verified = 0;
     for (char d : det) res.easy_verified += d != 0;
@@ -322,7 +647,7 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
     const std::size_t exported =
         opt.alternating_cycles ? opt.alternating_cycles : 2 * maxlen + 8;
     const std::size_t cycles = std::min(exported, maxlen + 8);
-    const std::vector<char> det = exec->seq_detect(sb.alternating(cycles),
+    const std::vector<char> det = phases.seq_detect(sb.alternating(cycles),
                                                    hard_idx);
     for (std::size_t k = 0; k < hard_idx.size(); ++k) {
       if (det[k]) {
@@ -525,7 +850,7 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
       // Sequential verification: the converting chain may be broken by the
       // very fault under test, so detection only counts after sequential
       // fault simulation of the full scan sequence (also yields the Figure 5
-      // curve).  The exec reports, per open fault, the first vector whose
+      // curve).  The pool reports, per open fault, the first vector whose
       // scan sequence detects it — equivalent to the historical per-vector
       // loop — and the curve is rebuilt here by walking vectors in order.
       if (obs) obs->begin_phase("step2.seq_verify", vectors.size());
@@ -534,7 +859,7 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
       for (std::size_t j : hard_idx) {
         if (res.outcome[j] == FaultOutcome::Undetected) open0.push_back(j);
       }
-      const std::vector<int> firstv = exec->s2_first_vec(vectors, open0);
+      const std::vector<int> firstv = phases.s2_first_vec(vectors, open0);
       for (std::size_t vi = 0; vi < vectors.size(); ++vi) {
         if (obs) obs->phase_tick();
         for (std::size_t k = 0; k < open0.size(); ++k) {
@@ -595,43 +920,14 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
       // One work item per group, each with its own reduced model and PODEM
       // state.  Items fill their slot of `done`; the merge below walks groups
       // (and faults within a group) in order, so counters and the
-      // s3_sequences order are exactly the serial ones regardless of executor
-      // or completion order.
-      std::vector<GroupOutcome> done(groups.size());
-      std::vector<char> gmask(groups.size(), 0);
-      if (rz && start == PipelinePhase::S3Groups) {
-        for (const auto& [gi, go] : rz->groups_done) {
-          if (gi >= groups.size()) {
-            throw std::runtime_error(
-                "resume: checkpoint group index out of range");
-          }
-          done[gi] = go;
-          gmask[gi] = 1;
-        }
-      }
-      std::vector<std::size_t> todo;
-      for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-        if (!gmask[gi]) todo.push_back(gi);
-      }
-      pg.groups = &done;
-      pg.groups_done = &gmask;
-      bool stop = false;
-      PipelineExec::ItemDone on_group_done = [&](std::size_t gi) {
-        gmask[gi] = 1;
-        if (!hook_check(PipelinePhase::S3Groups)) {
-          stop = true;
-          return false;
-        }
-        return true;
-      };
+      // s3_sequences order are exactly the serial ones regardless of
+      // completion order.
+      std::vector<GroupOutcome> done;
       {
         if (obs) obs->begin_phase("step3.groups", groups.size());
         const ObsSpan phase(obs, "step3.groups");
-        exec->run_groups(groups, todo, done, on_group_done);
+        done = phases.run_groups(groups);
       }
-      pg.groups = nullptr;
-      pg.groups_done = nullptr;
-      if (stop) throw PipelineStopped("pipeline stopped in s3.groups");
       for (std::size_t gi = 0; gi < groups.size(); ++gi) {
         ++res.s3_circuits_group;
         if (obs) {
@@ -676,7 +972,7 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
       for (const TestSequence& s : res.s3_sequences) {
         all.insert(all.end(), s.begin(), s.end());
       }
-      const std::vector<char> det = exec->seq_detect(all, open_idx);
+      const std::vector<char> det = phases.seq_detect(all, open_idx);
       std::size_t credited = 0;
       for (std::size_t k = 0; k < open_idx.size(); ++k) {
         if (det[k]) {
@@ -700,8 +996,7 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
 
   // Final faults: individual maximal-window models, bigger budget.  One work
   // item per final fault; merged in `final_idx` order (identical to the
-  // serial loop).  FinalOutcomes arrive verification-included, so a resumed
-  // slot carries exactly the verdict the original run would have merged.
+  // serial loop).  FinalOutcomes arrive verification-included.
   if (start <= PipelinePhase::S3Final) {
     std::vector<std::size_t> final_idx;
     for (std::size_t j : hard_idx) {
@@ -712,48 +1007,12 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
     for (std::size_t j : final_idx) {
       fwin.push_back(make_fault_window(j, res.info[j]).chains);
     }
-    std::vector<FinalOutcome> fdone(final_idx.size());
-    std::vector<char> fmask(final_idx.size(), 0);
-    if (rz && start == PipelinePhase::S3Final && !rz->finals_done.empty()) {
-      std::map<std::size_t, std::size_t> slot_of;
-      for (std::size_t k = 0; k < final_idx.size(); ++k) {
-        slot_of[final_idx[k]] = k;
-      }
-      for (const auto& [id, fo] : rz->finals_done) {
-        const auto it = slot_of.find(id);
-        if (it == slot_of.end()) {
-          throw std::runtime_error(
-              "resume: checkpoint final fault not in this run's final set");
-        }
-        fdone[it->second] = fo;
-        fmask[it->second] = 1;
-      }
-    }
-    std::vector<std::size_t> todo;
-    for (std::size_t k = 0; k < final_idx.size(); ++k) {
-      if (!fmask[k]) todo.push_back(k);
-    }
-    pg.finals = &fdone;
-    pg.finals_done = &fmask;
-    pg.final_ids = &final_idx;
-    bool stop = false;
-    PipelineExec::ItemDone on_final_done = [&](std::size_t k) {
-      fmask[k] = 1;
-      if (!hook_check(PipelinePhase::S3Final)) {
-        stop = true;
-        return false;
-      }
-      return true;
-    };
+    std::vector<FinalOutcome> fdone;
     {
       if (obs) obs->begin_phase("step3.final", final_idx.size());
       const ObsSpan phase(obs, "step3.final");
-      exec->run_finals(final_idx, fwin, todo, fdone, on_final_done);
+      fdone = phases.run_finals(final_idx, fwin);
     }
-    pg.finals = nullptr;
-    pg.finals_done = nullptr;
-    pg.final_ids = nullptr;
-    if (stop) throw PipelineStopped("pipeline stopped in s3.final");
     for (std::size_t k = 0; k < final_idx.size(); ++k) {
       const std::size_t j = final_idx[k];
       ++res.s3_circuits_final;

@@ -16,7 +16,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <functional>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/classify.h"
@@ -29,21 +32,8 @@
 namespace fsct {
 
 class ObsRegistry;
-class PipelineExec;
 struct PipelineHooks;
 struct PipelineResume;
-
-/// Precomputed per-circuit dominance artifacts for run_fsct_pipeline.  All
-/// three are pure functions of (post-TPI netlist, collapsed fault list), so a
-/// long-running server computes them once per compiled model and shares them
-/// read-only across every request for that circuit; the pipeline recomputes
-/// exactly the same values when they are absent, so results never depend on
-/// whether a cache was warm.  Either provide all three or none.
-struct PipelineCompiled {
-  std::shared_ptr<const DominanceInfo> dom;
-  std::shared_ptr<const std::vector<std::vector<std::size_t>>> domsets;
-  std::shared_ptr<const std::vector<Cost>> fcost;
-};
 
 struct PipelineOptions {
   /// Distance parameters; when auto_dist is true they are derived from the
@@ -107,19 +97,9 @@ struct PipelineOptions {
   /// collects are identical at any `jobs` value; see core/obs.h.
   ObsRegistry* obs = nullptr;
 
-  /// Optional precomputed dominance artifacts (see PipelineCompiled); the
-  /// pipeline computes its own when null.  Must match this run's netlist and
-  /// fault list.  The caller keeps the struct alive for the duration of the
-  /// call.
-  const PipelineCompiled* compiled = nullptr;
-
-  /// Execution strategy for the data-parallel phases (core/pipeline_exec.h).
-  /// nullptr = in-process LocalExec on this run's pool (the historical
-  /// behaviour); src/shard substitutes a multi-process coordinator.  Results
-  /// are bitwise identical either way.
-  PipelineExec* exec = nullptr;
   /// Optional safe-point callback (checkpointing / cooperative stop); see
-  /// PipelineHooks.  nullptr = no safe points taken.
+  /// PipelineHooks.  nullptr = no safe points taken.  core/checkpoint.h
+  /// builds the checkpoint writer and the signal stop on top of it.
   const PipelineHooks* hooks = nullptr;
   /// Optional restored state from a checkpoint: completed phases are skipped
   /// and the run continues bitwise-identically.  The caller keeps it alive
@@ -206,6 +186,66 @@ struct PipelineResult {
 
   std::size_t affecting() const { return easy + hard; }
   std::size_t final_undetected() const { return s3_undetected; }
+};
+
+/// Phases of the pipeline, in execution order.  A PipelineResume names the
+/// first phase that still has to run; everything before it is restored from
+/// the partial result.
+enum class PipelinePhase : std::uint8_t {
+  Classify = 0,
+  Step1,        ///< alternating-flush verification of f_easy
+  FlushCredit,  ///< dominance flush-credit pre-pass over f_hard
+  S2Podem,      ///< warm-up + combinational PODEM loop (vector generation)
+  S2Verify,     ///< sequential verification of the step-2 vector set
+  S3Groups,     ///< grouped sequential ATPG
+  S3Ledger,     ///< cross-group detection-ledger pass
+  S3Final,      ///< final individual models
+  Done,
+};
+
+/// Stable name for checkpoints and diagnostics ("classify", "s3.groups", ...).
+const char* pipeline_phase_name(PipelinePhase p);
+/// Reverse lookup; false on unknown names.
+bool pipeline_phase_from_name(const std::string& name, PipelinePhase* out);
+
+/// Read-only view of the pipeline's partial state at a safe point.  Pointers
+/// reference live pipeline storage and are only valid during the callback.
+struct PipelineProgress {
+  PipelinePhase next = PipelinePhase::Classify;  ///< first incomplete phase
+  const PipelineResult* res = nullptr;
+  const std::vector<char>* comb_covered = nullptr;  ///< PPSFP-screened flags
+  std::size_t podem_next = 0;  ///< PODEM targets fully processed (S2Podem)
+};
+
+/// Safe points fire on the calling thread while the thread pool is idle: at
+/// every phase boundary and after every step-2 PODEM target.  Step-3 phases
+/// have none inside them — a snapshot there would catch the counters of
+/// group/final tasks still in flight — so a stop requested during step 3
+/// takes effect at the end of that phase.
+struct PipelineHooks {
+  /// Called at every safe point.  Return false to stop: the pipeline throws
+  /// PipelineStopped immediately after (partial state stays consistent with
+  /// the last callback view, so a checkpoint taken inside the callback can
+  /// be resumed).
+  std::function<bool(const PipelineProgress&)> safe_point;
+};
+
+/// Raised by the pipeline when a safe-point callback returns false.
+struct PipelineStopped : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// State restored at the start of a resumed run.  `partial` carries every
+/// PipelineResult field the completed phases produced (outcomes, info,
+/// vectors, curve, sequences, scalar tallies).  All recomputable artifacts
+/// (dominance tables, groups, target order) are pure functions of the
+/// restored state and are rebuilt, so a resume at any job count continues
+/// bitwise-identically.
+struct PipelineResume {
+  PipelinePhase phase = PipelinePhase::Classify;
+  PipelineResult partial;
+  std::vector<char> comb_covered;
+  std::size_t podem_next = 0;
 };
 
 /// Runs the whole flow.  `lv`/`model` must be built on the post-TPI netlist.

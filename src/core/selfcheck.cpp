@@ -1,12 +1,16 @@
 #include "core/selfcheck.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 
 #include "bench_circuits/generator.h"
+#include "core/checkpoint.h"
 #include "core/classify.h"
 #include "core/test_export.h"
 #include "fault/comb_fault_sim.h"
@@ -23,9 +27,7 @@ namespace {
 
 constexpr const char* kOracleNames[kNumOracles] = {
     "packed-sim", "ppsfp-seq", "cat3-scanout", "jobs-identity",
-    "export-replay", "dominance", "simd", "shard"};
-
-ShardOracleHook g_shard_oracle_hook = nullptr;
+    "export-replay", "dominance", "simd", "resume"};
 
 /// splitmix64: decorrelates per-iteration / per-oracle seeds so running a
 /// subset of oracles (e.g. during shrinking) draws the same random data as
@@ -276,26 +278,42 @@ std::string oracle_jobs_identity(const ScannedWorld& w,
   return "";
 }
 
-std::string oracle_shard(const ScannedWorld& w, const PipelineResult& serial,
-                         std::mt19937_64 rng) {
-  if (g_shard_oracle_hook == nullptr) {
-    return std::string(kOracleNames[7]) +
-           ": oracle requested but no sharded runner is registered "
-           "(call register_shard_oracle() at startup)";
-  }
-  const int shards = 2 + static_cast<int>(rng() % 3);
-  PipelineResult sharded;
+std::string oracle_resume(const ScannedWorld& w, const PipelineResult& serial,
+                          int jobs, std::mt19937_64 rng) {
+  // A fresh run has 8 phase safe points plus one per PODEM target (every
+  // hard fault), so k always lands inside the run.
+  const int k = 1 + static_cast<int>(rng() % (8 + serial.hard));
+  const std::string ckpt =
+      (std::filesystem::temp_directory_path() /
+       ("fsct-fuzz-resume-" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  const std::string where = std::string(kOracleNames[7]) + ": safe point " +
+                            std::to_string(k) + ": ";
+  PipelineResult resumed;
   try {
-    sharded =
-        g_shard_oracle_hook(*w.model, w.faults, fuzz_pipeline_options(1),
-                            shards);
+    CheckpointOptions stop;
+    stop.checkpoint_path = ckpt;
+    stop.checkpoint_interval_ms = 1 << 30;  // write only the first and the stop
+    stop.stop_after_safepoints = k;
+    try {
+      run_checkpointed_pipeline(*w.model, w.faults, fuzz_pipeline_options(1),
+                                stop);
+      std::filesystem::remove(ckpt);
+      return where + "run finished without stopping";
+    } catch (const PipelineStopped&) {
+    }
+    CheckpointOptions resume;
+    resume.resume_path = ckpt;
+    resumed = run_checkpointed_pipeline(*w.model, w.faults,
+                                        fuzz_pipeline_options(jobs), resume);
   } catch (const std::exception& e) {
-    return std::string(kOracleNames[7]) + ": shards=" +
-           std::to_string(shards) + " threw: " + e.what();
+    std::filesystem::remove(ckpt);
+    return where + "threw: " + e.what();
   }
-  if (std::string d = diff_pipeline_results(serial, sharded); !d.empty()) {
-    return std::string(kOracleNames[7]) + ": 1 process vs shards=" +
-           std::to_string(shards) + ": " + d;
+  std::filesystem::remove(ckpt);
+  if (std::string d = diff_pipeline_results(serial, resumed); !d.empty()) {
+    return where + "uninterrupted vs resumed at jobs=" + std::to_string(jobs) +
+           ": " + d;
   }
   return "";
 }
@@ -486,9 +504,6 @@ std::string oracle_simd(const ScannedWorld& w, std::mt19937_64 rng) {
 
 const char* oracle_name(std::size_t index) { return kOracleNames[index]; }
 
-void set_shard_oracle_hook(ShardOracleHook hook) {
-  g_shard_oracle_hook = hook;
-}
 
 unsigned parse_oracle_mask(const std::string& csv) {
   if (csv == "all" || csv.empty()) return kOracleAll;
@@ -624,7 +639,7 @@ std::string selfcheck_circuit(const Netlist& pre_scan,
     if (std::string d = oracle_simd(w, oracle_rng(6)); !d.empty()) return d;
   }
   if (cfg.oracles &
-      (kOracleJobs | kOracleExport | kOracleDominance | kOracleShard)) {
+      (kOracleJobs | kOracleExport | kOracleDominance | kOracleResume)) {
     const PipelineResult serial =
         run_fsct_pipeline(*w.model, w.faults, fuzz_pipeline_options(1));
     if (cfg.oracles & kOracleJobs) {
@@ -648,9 +663,9 @@ std::string selfcheck_circuit(const Netlist& pre_scan,
         return d;
       }
     }
-    if (cfg.oracles & kOracleShard) {
+    if (cfg.oracles & kOracleResume) {
       count(7);
-      if (std::string d = oracle_shard(w, serial, oracle_rng(7));
+      if (std::string d = oracle_resume(w, serial, cfg.jobs, oracle_rng(7));
           !d.empty()) {
         return d;
       }

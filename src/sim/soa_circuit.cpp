@@ -15,12 +15,7 @@ static_assert(FSCT_DEFAULT_SIMD_WIDTH == 64 || FSCT_DEFAULT_SIMD_WIDTH == 256 ||
 
 namespace {
 std::atomic<int> g_default_simd_width{FSCT_DEFAULT_SIMD_WIDTH};
-std::atomic<std::uint64_t> g_soa_compiles{0};
 }  // namespace
-
-std::uint64_t soa_compile_count() {
-  return g_soa_compiles.load(std::memory_order_relaxed);
-}
 
 int default_simd_width() {
   return g_default_simd_width.load(std::memory_order_relaxed);
@@ -35,7 +30,7 @@ void set_default_simd_width(int bits) {
 
 std::shared_ptr<const SoaCircuit> SoaCircuit::compile(const Levelizer& lv) {
   // Memoized per Levelizer snapshot: every engine built on the same snapshot
-  // (SeqFaultSim, PairSim, a serve cache entry) shares one flat compilation.
+  // (SeqFaultSim, PairSim, PODEM) shares one flat compilation.
   // The per-snapshot mutex is held across the build so concurrent first
   // compiles of the same snapshot serialize instead of duplicating work.
   const std::shared_ptr<LevelizerMemo> memo = lv.memo();
@@ -43,7 +38,6 @@ std::shared_ptr<const SoaCircuit> SoaCircuit::compile(const Levelizer& lv) {
   if (memo->value) {
     return std::static_pointer_cast<const SoaCircuit>(memo->value);
   }
-  g_soa_compiles.fetch_add(1, std::memory_order_relaxed);
   const Netlist& nl = lv.netlist();
   const std::size_t n = nl.size();
   auto c = std::shared_ptr<SoaCircuit>(new SoaCircuit());

@@ -54,11 +54,6 @@ inline bool is_valid_simd_width(int bits) {
 int default_simd_width();
 void set_default_simd_width(int bits);  ///< throws std::invalid_argument
 
-/// Process-lifetime count of *actual* SoA compilations (memo hits through
-/// SoaCircuit::compile do not increment it).  The serve cache-hit tests
-/// assert a delta of zero across a repeated request.
-std::uint64_t soa_compile_count();
-
 /// One maximal same-type run of the evaluation order: order()[begin, end)
 /// all have gate type `type` and live on the same level.
 struct SoaRun {
@@ -73,8 +68,7 @@ class SoaCircuit {
   /// Compiles the snapshot.  O(nodes + edges); the result is immutable and
   /// safe to share across threads.  Memoized per Levelizer snapshot (via
   /// Levelizer::memo()): repeated calls for the same snapshot — every engine
-  /// of one pipeline run, every request served from a cached model — return
-  /// the same shared compilation.
+  /// of one pipeline run — return the same shared compilation.
   static std::shared_ptr<const SoaCircuit> compile(const Levelizer& lv);
 
   std::size_t size() const { return type_.size(); }

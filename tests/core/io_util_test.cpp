@@ -47,8 +47,8 @@ TEST(IoUtil, WriteLineAppendsNewlineInOneBuffer) {
 }
 
 TEST(IoUtil, ReadRetryAbsorbsEintr) {
-  // The fsct SIGUSR1 handler is installed without SA_RESTART, so a daemon's
-  // blocking reads really do come back EINTR.  Install a no-op handler the
+  // The fsct SIGUSR1 handler is installed without SA_RESTART, so blocking
+  // reads in the process really do come back EINTR.  Install a no-op handler the
   // same way and pepper a blocked reader with signals: read_retry must keep
   // retrying until real data arrives instead of surfacing the interrupt.
   struct sigaction sa {};

@@ -95,5 +95,17 @@ TEST(Json, EscapeReplacesInvalidBytesWithReplacementChar) {
   EXPECT_EQ(json_escape("\xF4\x90\x80\x80"), fffd + fffd + fffd + fffd);
 }
 
+TEST(Json, NormalizedReportStripsVolatileKeysAndSortsKeys) {
+  const std::string a =
+      "{\"z\": 1, \"elapsed_seconds\": 2.5, \"rss_phases\": {\"x\": 1}, "
+      "\"pool\": {\"w\": 3}, "
+      "\"a\": {\"cpu_time_ms\": 3, \"n\": 4, \"sim_passes\": 7}}";
+  const std::string b =
+      "{\"a\": {\"n\": 4, \"cpu_time_ms\": 9}, \"z\": 1, "
+      "\"rss_phases\": {\"y\": 2}}";
+  EXPECT_EQ(normalized_report(a), "{\"a\":{\"n\":4},\"z\":1}");
+  EXPECT_EQ(normalized_report(a), normalized_report(b));
+}
+
 }  // namespace
 }  // namespace fsct

@@ -376,11 +376,6 @@ TEST(Obs, MonitorInstallsAndRestoresSigusr1Handler) {
     EXPECT_TRUE(sigusr1_handler_active());
   }
   EXPECT_FALSE(sigusr1_handler_active());
-
-  ObsMonitor::Options opt;
-  opt.sigusr1 = false;  // per-session serve monitors never touch the signal
-  const ObsMonitor silent(opt);
-  EXPECT_FALSE(sigusr1_handler_active());
 }
 #endif
 
@@ -411,73 +406,9 @@ TEST(Obs, HeartbeatRateResetsOnPhaseChangeAndDoneRegression) {
   // New phase literal: the old window must not poison the new rate.
   EXPECT_EQ(hr.update(kB, 10, 100, t0 + std::chrono::seconds(2)).rate, 0);
   EXPECT_GT(hr.update(kB, 20, 100, t0 + std::chrono::seconds(3)).rate, 0);
-  // A daemon's next run reuses the same literal; done regressing to the
+  // The next pipeline run reuses the same literal; done regressing to the
   // fresh run's small count must also reset the window.
   EXPECT_EQ(hr.update(kB, 5, 100, t0 + std::chrono::seconds(4)).rate, 0);
-}
-
-// hist_quantile() is how `fsct stat` turns scraped latency buckets into
-// p50/p90/p99, so its edge behavior is contract, not detail.
-TEST(Obs, HistQuantileEdges) {
-  std::array<std::uint64_t, kHistBuckets> b{};
-  // Empty histogram: no quantile to report.
-  EXPECT_EQ(hist_quantile(b, 0.5), -1.0);
-
-  // All mass on value 0 (bucket 0): every quantile is exactly 0.
-  b[0] = 17;
-  EXPECT_EQ(hist_quantile(b, 0.0), 0.0);
-  EXPECT_EQ(hist_quantile(b, 0.5), 0.0);
-  EXPECT_EQ(hist_quantile(b, 1.0), 0.0);
-  b[0] = 0;
-
-  // Single interior bucket 3 = [4, 7], four samples: ranks interpolate
-  // linearly across the bucket's width, and q outside [0,1] clamps.
-  b[3] = 4;
-  EXPECT_DOUBLE_EQ(hist_quantile(b, 0.0), 4.75);   // rank 0 maps to rank 1
-  EXPECT_DOUBLE_EQ(hist_quantile(b, 0.5), 5.5);    // rank 2 of 4
-  EXPECT_DOUBLE_EQ(hist_quantile(b, 1.0), 7.0);    // rank 4: bucket's top
-  EXPECT_DOUBLE_EQ(hist_quantile(b, 2.0), 7.0);    // clamped to q = 1
-  EXPECT_DOUBLE_EQ(hist_quantile(b, -1.0), 4.75);  // clamped to q = 0
-  b[3] = 0;
-
-  // Overflow tail: the last bucket has no upper edge, so a quantile landing
-  // there reports the bucket's lower bound — a floor, never an invention.
-  b[kHistBuckets - 1] = 3;
-  const double tail_lo =
-      static_cast<double>(std::uint64_t{1} << (kHistBuckets - 2));
-  EXPECT_DOUBLE_EQ(hist_quantile(b, 0.5), tail_lo);
-  EXPECT_DOUBLE_EQ(hist_quantile(b, 1.0), tail_lo);
-  b[kHistBuckets - 1] = 0;
-
-  // Mass split across buckets: the rank walk crosses cumulative counts.
-  b[0] = 1;  // one sample of value 0
-  b[1] = 1;  // one sample of value 1
-  EXPECT_DOUBLE_EQ(hist_quantile(b, 0.5), 0.0);  // rank 1 is the zero
-  EXPECT_DOUBLE_EQ(hist_quantile(b, 1.0), 1.0);  // rank 2 is the one
-}
-
-// merge_from is the daemon's fold of a finished session registry into its
-// lifetime registry: counters and histogram mass accumulate exactly, gauges
-// (set-once run facts) stay untouched.
-TEST(Obs, MergeFromAccumulatesCountersAndHistsNotGauges) {
-  ObsRegistry session;
-  session.add(Ctr::PpsfpEvents, 5);
-  session.add(Ctr::PodemCalls, 2);
-  session.observe(Hist::PodemDecisionDepth, 0);
-  session.observe(Hist::PodemDecisionDepth, 6);
-  session.set_gauge(Gauge::Jobs, 8);
-
-  ObsRegistry daemon;
-  daemon.set_gauge(Gauge::Jobs, 1);
-  daemon.merge_from(session);
-  daemon.merge_from(session);  // two identical sessions
-  EXPECT_EQ(daemon.total(Ctr::PpsfpEvents), 10u);
-  EXPECT_EQ(daemon.total(Ctr::PodemCalls), 4u);
-  const auto b = daemon.hist_total(Hist::PodemDecisionDepth);
-  EXPECT_EQ(b[0], 2u);                       // two zeros
-  EXPECT_EQ(b[ObsRegistry::bucket(6)], 2u);  // two sixes
-  EXPECT_EQ(daemon.hist_sum(Hist::PodemDecisionDepth), 12u);
-  EXPECT_EQ(daemon.gauge(Gauge::Jobs), 1);  // not merged
 }
 
 }  // namespace

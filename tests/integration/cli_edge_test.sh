@@ -62,8 +62,17 @@ expect_fail 2 "unknown option '--frobnicate'" -- test "$TMP/good.bench" --frobni
 expect_fail 2 "unknown command" -- frobnicate
 expect_fail 2 "unknown oracle 'bogus'" -- fuzz --iters 1 --oracles bogus
 
+# --- retired daemon and fork-sharding surface ------------------------------
+expect_fail 2 "unknown command 'serve'" -- serve
+expect_fail 2 "unknown command 'stat'"  -- stat
+expect_fail 2 "unknown option '--socket'" -- serve --socket "$TMP/fsct.sock"
+expect_fail 2 "unknown option '--port'"   -- stat --port 9090
+expect_fail 2 "unknown option '--shards'" -- test "$TMP/good.bench" --shards 2
+
 # --- missing / malformed files ---------------------------------------------
 expect_fail 2 "cannot open" -- stats "$TMP/does_not_exist.bench"
+expect_fail 2 "cannot open s9999" -- stats s9999
+expect_fail 2 "cannot open s9999" -- scan s9999
 
 cat > "$TMP/badgate.bench" <<'EOF'
 INPUT(a)
@@ -158,6 +167,17 @@ if ! "$FSCT" stats "$TMP/good.bench" >/dev/null 2>&1; then
   echo "FAIL: fsct stats on a good circuit should succeed"
   FAILURES=$((FAILURES + 1))
 fi
+# stats, scan and test resolve suite names (and the embedded s27) the same
+# way when no file of that name exists.
+for args in "stats s27" "stats s1488" "scan s27" "scan s1488 --chains 2"; do
+  name=${args#* }; name=${name%% *}
+  if ! "$FSCT" $args > "$TMP/out" 2>&1 || ! grep -q "^$name" "$TMP/out"; then
+    echo "FAIL: fsct $args should describe $name: $(cat "$TMP/out")"
+    FAILURES=$((FAILURES + 1))
+  else
+    echo "ok: fsct $args"
+  fi
+done
 if ! "$FSCT" fuzz --seed 1 --iters 3 -o "$TMP/fz" >/dev/null 2>&1; then
   echo "FAIL: fsct fuzz smoke should succeed"
   FAILURES=$((FAILURES + 1))

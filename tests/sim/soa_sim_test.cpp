@@ -87,6 +87,20 @@ TEST(SoaCircuit, FlatViewMatchesLevelizer) {
   EXPECT_EQ(pos, soa->order().size());
 }
 
+TEST(SoaCircuit, MemoCompilesOncePerLevelizer) {
+  // Every engine of one run shares the Levelizer snapshot's compilation;
+  // a copy of the Levelizer is the same snapshot and shares it too.
+  const Netlist nl = iscas_s27();
+  const Levelizer lv(nl);
+  const auto a = SoaCircuit::compile(lv);
+  const auto b = SoaCircuit::compile(lv);
+  EXPECT_EQ(a.get(), b.get());
+  const Levelizer copy = lv;
+  EXPECT_EQ(SoaCircuit::compile(copy).get(), a.get());
+  const Levelizer other(nl);
+  EXPECT_NE(SoaCircuit::compile(other).get(), a.get());
+}
+
 TEST(SoaCircuit, DffBookkeeping) {
   const Netlist nl = iscas_s27();
   const Levelizer lv(nl);

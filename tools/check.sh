@@ -91,10 +91,9 @@ fi
 # Tests that exercise the thread pool and every pool-driven phase (the obs
 # registry records from every executor, so its tests belong in the TSan set;
 # Bench. covers the heartbeat/status-dump monitor thread racing the pipeline;
-# Serve. covers the daemon's reader/worker threads sharing the model cache;
-# Shard. covers the coordinator threads driving forked workers plus the
-# crash-injection killer thread racing the checkpoint writer).
-CONCURRENCY_TESTS='Parallel\.|Determinism\.|Obs\.|Selfcheck\.|Bench\.|Serve\.|Shard\.'
+# Checkpoint. covers safe-point snapshots of the registry between pool calls
+# and resumed runs at jobs 1 and 4).
+CONCURRENCY_TESTS='Parallel\.|Determinism\.|Obs\.|Selfcheck\.|Bench\.|Checkpoint\.'
 
 if [[ "$TSAN_ONLY" == 0 ]]; then
   cmake -B build -S . "$@"
@@ -139,15 +138,12 @@ EOF
   echo "check.sh: observability smoke OK (trace/metrics/profile JSON parse," \
        "OpenMetrics lint, profile render)"
 
-  # Differential fuzz smoke: a fixed-seed sweep of the seven in-process
-  # selfcheck oracles plus a replay of the checked-in minimized corpus (see
-  # core/selfcheck.h), then a shorter sweep of the opt-in O8 shard oracle
-  # (single-process vs a forked 2-4 shard run on every generated circuit).
+  # Differential fuzz smoke: a fixed-seed sweep of the eight selfcheck
+  # oracles (resume included) plus a replay of the checked-in minimized
+  # corpus (see core/selfcheck.h).
   ./build/tools/fsct fuzz --seed 1 --iters 100 -o "$OBS_TMP/fuzz"
   ./build/tools/fsct fuzz --corpus tests/integration/fuzz_corpus
-  ./build/tools/fsct fuzz --seed 1 --iters 25 --oracles shard --jobs 2
-  echo "check.sh: fuzz smoke OK (100 in-process + 25 shard iterations" \
-       "+ corpus replay)"
+  echo "check.sh: fuzz smoke OK (100 iterations + corpus replay)"
 
   # Bench smoke: run the smallest suite circuit through the statistics-aware
   # harness, check the document parses, and self-compare (must be exit 0 —
@@ -178,13 +174,11 @@ import json, sys
 doc = json.load(open(sys.argv[1]))
 def strip(o):
     if isinstance(o, dict):
-        # Mirror of normalized_report() in src/serve/serve.cpp: volatile
-        # substrings plus the per-run stamps ("serve" request_id, "shard"
-        # topology, "pool" sizing) that legitimately vary across runs.
+        # Mirror of normalized_report() in src/core/json.cpp: volatile
+        # substrings plus the scheduler-dependent "pool" worker stats.
         return {k: strip(v) for k, v in sorted(o.items())
                 if "seconds" not in k and "time" not in k and "passes" not in k
-                and "cycles" not in k and "rss" not in k
-                and k not in ("serve", "shard", "pool")}
+                and "cycles" not in k and "rss" not in k and k != "pool"}
     if isinstance(o, list):
         return [strip(v) for v in o]
     return o
@@ -200,248 +194,42 @@ EOF
   cmp "$OBS_TMP/metrics_w64.norm" "$OBS_TMP/metrics_w512.norm"
   echo "check.sh: width sweep OK (identical run reports at 64/256/512)"
 
-  # Serve smoke: the daemon must serve the same normalized run report as the
-  # CLI (the serve determinism contract, DESIGN.md §5j), answer a repeated
-  # request from its result cache, expose its observability plane (GET
-  # /metrics, /healthz, /readyz, /statusz + the NDJSON request log), and
-  # drain cleanly on SIGTERM.
-  ./build/tools/fsct serve --socket "$OBS_TMP/serve.sock" --http-port 0 \
-    --request-log "$OBS_TMP/requests.ndjson" > "$OBS_TMP/serve.log" &
-  SERVE_PID=$!
-  for _ in $(seq 50); do [[ -S "$OBS_TMP/serve.sock" ]] && break; sleep 0.1; done
-  HTTP_PORT="$(python3 - "$OBS_TMP/serve.log" <<'EOF'
-import re, sys, time
-for _ in range(50):
-    m = re.search(r"metrics on 127\.0\.0\.1:(\d+)", open(sys.argv[1]).read())
-    if m:
-        print(m.group(1))
-        break
-    time.sleep(0.1)
-else:
-    sys.exit("serve smoke: no metrics port announced in serve.log")
-EOF
-)"
-  python3 - "$OBS_TMP" <<'EOF'
-import json, socket, sys
-tmp = sys.argv[1]
-bench = open(tmp + "/s27.bench").read()
-s = socket.socket(socket.AF_UNIX)
-s.connect(tmp + "/serve.sock")
-f = s.makefile("r")
-def ask(rid):
-    s.sendall((json.dumps({"id": rid, "circuit": bench,
-                           "config": {"jobs": 1}}) + "\n").encode())
-    while True:
-        ev = json.loads(f.readline())
-        if ev.get("event") == "result":
-            return ev
-r1 = ask("smoke1")
-assert r1["status"] == "ok", r1
-r2 = ask("smoke2")
-assert r2["status"] == "ok", r2
-assert r2["result_cache"] == "hit", r2
-# The replay is verbatim apart from the per-response serve stamp: each
-# response carries its own server-assigned request_id.
-def unstamped(report):
-    return {k: v for k, v in report.items() if k != "serve"}
-assert unstamped(r1["report"]) == unstamped(r2["report"])
-assert r1["report"]["serve"]["request_id"] != r2["report"]["serve"]["request_id"]
-assert r1["request_id"] == r1["report"]["serve"]["request_id"], r1
-json.dump(r1["report"], open(tmp + "/served.json", "w"))
-s.close()
-EOF
-  # Scrape the live daemon's observability plane and hold the page to the
-  # same OpenMetrics rules as the CLI exposition (plus the histogram
-  # invariants a scraper depends on: cumulative le buckets ending at +Inf).
-  python3 - "$OBS_TMP" "$HTTP_PORT" <<'EOF'
-import http.client, json, re, sys
-tmp, port = sys.argv[1], int(sys.argv[2])
-def get(path):
-    c = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-    c.request("GET", path)
-    r = c.getresponse()
-    body = r.read().decode()
-    c.close()
-    return r.status, body
-st, _ = get("/healthz"); assert st == 200, st
-st, _ = get("/readyz"); assert st == 200, st
-st, body = get("/statusz"); assert st == 200, st
-doc = json.loads(body)
-assert len(doc["recent"]) == 2, doc
-assert doc["active_sessions"] == [], doc
-st, body = get("/metrics"); assert st == 200, st
-open(tmp + "/daemon_metrics.prom", "w").write(body)
-assert body.endswith("# EOF\n"), body[-80:]
-for name in ("fsct_serve_uptime_seconds", "fsct_serve_requests_total",
-             "fsct_serve_result_cache_hits_total",
-             "fsct_serve_latency_pipeline_us_bucket",
-             "fsct_classify_faults_total"):
-    assert name in body, name
-hists = {}
-for line in body.splitlines():
-    m = re.match(r'(\w+)_bucket\{le="([^"]+)"\} (\d+)', line)
-    if m:
-        hists.setdefault(m.group(1), []).append((m.group(2), int(m.group(3))))
-assert hists, "no histogram buckets in /metrics"
-for fam, buckets in hists.items():
-    counts = [c for _, c in buckets]
-    assert counts == sorted(counts), (fam, "buckets not cumulative")
-    assert buckets[-1][0] == "+Inf", (fam, "missing +Inf bucket")
-st, _ = get("/nope"); assert st == 404, st
-EOF
-  python3 tools/promtext_lint.py "$OBS_TMP/daemon_metrics.prom"
-  # `fsct stat` renders a one-screen status against the same live daemon.
-  ./build/tools/fsct stat --port "$HTTP_PORT" > "$OBS_TMP/stat.out"
-  grep -q "fsct daemon: up" "$OBS_TMP/stat.out"
-  grep -q "requests 2: 2 ok" "$OBS_TMP/stat.out"
-  grep -q "latency p50/p90/p99" "$OBS_TMP/stat.out"
-  kill -TERM "$SERVE_PID"
-  wait "$SERVE_PID"
-  # The request log is one well-formed NDJSON record per request, in order,
-  # with the phase latencies and cache outcomes the daemon reported.
-  python3 - "$OBS_TMP/requests.ndjson" <<'EOF'
-import json, sys
-recs = [json.loads(l) for l in open(sys.argv[1])]
-assert [r["request_id"] for r in recs] == [1, 2], recs
-assert recs[0]["result_cache"] == "miss" and recs[1]["result_cache"] == "hit"
-for r in recs:
-    assert r["status"] == "ok", r
-    for k in ("id", "circuit", "priority", "model_cache",
-              "queue_us", "compile_us", "pipeline_us", "serialize_us"):
-        assert k in r, (k, r)
-EOF
-  python3 "$OBS_TMP/strip.py" "$OBS_TMP/served.json" "$OBS_TMP/served.norm"
-  cmp "$OBS_TMP/served.norm" "$OBS_TMP/metrics_w64.norm"
-  echo "check.sh: serve smoke OK (served report identical to CLI," \
-       "result-cache hit, /metrics lint, fsct stat, request log," \
-       "SIGTERM drain)"
-
-  # Observability overhead gate: a daemon carrying the full plane (request
-  # log + a scraper hitting /metrics after every request) must serve inside
-  # the bench harness's noise window (max(rel, 3*MAD, 5ms floor)) of a plain
-  # daemon — the null-sink rule extends to the serve path.
-  cat > "$OBS_TMP/serve_bench.py" <<'EOF'
-import http.client, json, socket, sys, time
-tmp, sock_path, out, label = sys.argv[1:5]
-port = int(sys.argv[5]) if len(sys.argv) > 5 else -1
-bench = open(tmp + "/s27.bench").read()
-s = socket.socket(socket.AF_UNIX)
-s.connect(sock_path)
-f = s.makefile("r")
-walls = []
-for i in range(6):  # 1 warmup + 5 measured
-    t0 = time.monotonic()
-    s.sendall((json.dumps({"id": "%s%d" % (label, i), "circuit": bench,
-                           "use_result_cache": False,
-                           "config": {"jobs": 1}}) + "\n").encode())
-    while True:
-        ev = json.loads(f.readline())
-        if ev.get("event") == "result":
-            break
-    assert ev["status"] == "ok", ev
-    if i:
-        walls.append(time.monotonic() - t0)
-    if port > 0:
-        c = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-        c.request("GET", "/metrics")
-        assert c.getresponse().read().endswith(b"# EOF\n")
-        c.close()
-s.close()
-walls.sort()
-doc = {"schema": "fsct-bench-v2",
-       "rows": [{"circuit": "s27",
-                 "phases": [{"name": "serve_request",
-                             "wall": {"median": walls[len(walls) // 2]}}]}]}
-json.dump(doc, open(out, "w"))
-EOF
-  ./build/tools/fsct serve --socket "$OBS_TMP/plain.sock" \
-    > "$OBS_TMP/plain.log" &
-  PLAIN_PID=$!
-  for _ in $(seq 50); do [[ -S "$OBS_TMP/plain.sock" ]] && break; sleep 0.1; done
-  python3 "$OBS_TMP/serve_bench.py" "$OBS_TMP" "$OBS_TMP/plain.sock" \
-    "$OBS_TMP/bench_obs_off.json" plain
-  kill -TERM "$PLAIN_PID"; wait "$PLAIN_PID"
-  ./build/tools/fsct serve --socket "$OBS_TMP/instr.sock" --http-port 0 \
-    --request-log "$OBS_TMP/instr_requests.ndjson" > "$OBS_TMP/instr.log" &
-  INSTR_PID=$!
-  for _ in $(seq 50); do [[ -S "$OBS_TMP/instr.sock" ]] && break; sleep 0.1; done
-  INSTR_PORT="$(sed -n 's/.*metrics on 127\.0\.0\.1:\([0-9]*\).*/\1/p' \
-    "$OBS_TMP/instr.log" | head -1)"
-  python3 "$OBS_TMP/serve_bench.py" "$OBS_TMP" "$OBS_TMP/instr.sock" \
-    "$OBS_TMP/bench_obs_on.json" instr "$INSTR_PORT"
-  kill -TERM "$INSTR_PID"; wait "$INSTR_PID"
-  ./build/tools/fsct bench compare "$OBS_TMP/bench_obs_off.json" \
-    "$OBS_TMP/bench_obs_on.json"
-  echo "check.sh: observability overhead gate OK (request log + scraping" \
-       "within noise)"
-
-  # Shard smoke: a 3-shard run on s1423 is SIGTERMed mid-run (a test-only env
-  # hook widens the window), must exit 3 with a checkpoint and no partial
-  # report, and the --resume continuation's normalized report must be
-  # byte-identical to a plain single-process CLI run (DESIGN.md §5l).
-  # (s1423 exits 1 by design: one fault stays undetected at these budgets.)
-  ./build/tools/fsct test s1423 --jobs 2 \
-    --metrics "$OBS_TMP/shard_single.json" > /dev/null || [[ $? == 1 ]]
-  FSCT_TEST_PHASE_SLEEP="s3:2500" ./build/tools/fsct test s1423 --jobs 2 \
-    --shards 3 --checkpoint "$OBS_TMP/shard.ckpt" \
-    --metrics "$OBS_TMP/shard_metrics.json" \
-    > /dev/null 2> "$OBS_TMP/shard_err.log" &
-  SHARD_PID=$!
-  for _ in $(seq 100); do [[ -f "$OBS_TMP/shard.ckpt" ]] && break; sleep 0.1; done
-  [[ -f "$OBS_TMP/shard.ckpt" ]]
-  kill -TERM "$SHARD_PID"
-  SHARD_RC=0
-  wait "$SHARD_PID" || SHARD_RC=$?
-  [[ "$SHARD_RC" == 3 ]]
-  grep -q -- "--resume" "$OBS_TMP/shard_err.log"
-  [[ ! -f "$OBS_TMP/shard_metrics.json" ]]
-  ./build/tools/fsct test s1423 --jobs 2 --shards 3 \
-    --resume "$OBS_TMP/shard.ckpt" \
-    --metrics "$OBS_TMP/shard_metrics.json" > /dev/null || [[ $? == 1 ]]
-  python3 "$OBS_TMP/strip.py" "$OBS_TMP/shard_single.json" \
-    "$OBS_TMP/shard_single.norm"
-  python3 "$OBS_TMP/strip.py" "$OBS_TMP/shard_metrics.json" \
-    "$OBS_TMP/shard_resumed.norm"
-  cmp "$OBS_TMP/shard_single.norm" "$OBS_TMP/shard_resumed.norm"
-  echo "check.sh: shard smoke OK (SIGTERM -> checkpoint -> resume identical" \
-       "to single-process)"
-
-  # Shard overhead gate: the execution layer itself must be free when unused —
-  # a --shards 1 run (one forked worker, full RPC protocol) has to land inside
-  # the bench harness's noise window of a plain in-process run.
-  cat > "$OBS_TMP/shard_bench.py" <<'EOF'
-import json, subprocess, sys, time
-fsct, out = sys.argv[1], sys.argv[2]
-extra = sys.argv[3:]
-walls = []
-for i in range(8):  # 2 warmup + 6 measured
-    t0 = time.monotonic()
-    subprocess.run([fsct, "test", "s1494", "--jobs", "2"] + extra,
-                   check=True, stdout=subprocess.DEVNULL)
-    if i >= 2:
-        walls.append(time.monotonic() - t0)
-walls.sort()
-doc = {"schema": "fsct-bench-v2",
-       "rows": [{"circuit": "s1494",
-                 "phases": [{"name": "fsct_test",
-                             "wall": {"median": walls[len(walls) // 2]}}]}]}
-json.dump(doc, open(out, "w"))
-EOF
-  python3 "$OBS_TMP/shard_bench.py" ./build/tools/fsct \
-    "$OBS_TMP/bench_shard_off.json"
-  python3 "$OBS_TMP/shard_bench.py" ./build/tools/fsct \
-    "$OBS_TMP/bench_shard_on.json" --shards 1
-  ./build/tools/fsct bench compare "$OBS_TMP/bench_shard_off.json" \
-    "$OBS_TMP/bench_shard_on.json"
-  echo "check.sh: shard overhead gate OK (--shards 1 within noise of" \
-       "in-process)"
+  # Checkpoint smoke: an s1423 run writing checkpoints is SIGTERMed mid-run
+  # (a test-only phase sleep widens the window), must exit 3 with a
+  # checkpoint and no partial report, and the --resume continuation's
+  # normalized report must be byte-identical to an uninterrupted CLI run
+  # (DESIGN.md §5j).  (s1423 exits 1 by design: one fault stays undetected
+  # at these budgets.)
+  ./build/tools/fsct test s1423 --jobs 4 \
+    --metrics "$OBS_TMP/ckpt_plain.json" > /dev/null || [[ $? == 1 ]]
+  FSCT_TEST_PHASE_SLEEP="s3:2500" ./build/tools/fsct test s1423 --jobs 4 \
+    --checkpoint "$OBS_TMP/run.ckpt" --metrics "$OBS_TMP/ckpt_metrics.json" \
+    > /dev/null 2> "$OBS_TMP/ckpt_err.log" &
+  CKPT_PID=$!
+  for _ in $(seq 100); do [[ -f "$OBS_TMP/run.ckpt" ]] && break; sleep 0.1; done
+  [[ -f "$OBS_TMP/run.ckpt" ]]
+  kill -TERM "$CKPT_PID"
+  CKPT_RC=0
+  wait "$CKPT_PID" || CKPT_RC=$?
+  [[ "$CKPT_RC" == 3 ]]
+  grep -q -- "--resume" "$OBS_TMP/ckpt_err.log"
+  [[ ! -f "$OBS_TMP/ckpt_metrics.json" ]]
+  ./build/tools/fsct test s1423 --jobs 4 --resume "$OBS_TMP/run.ckpt" \
+    --metrics "$OBS_TMP/ckpt_metrics.json" > /dev/null || [[ $? == 1 ]]
+  python3 "$OBS_TMP/strip.py" "$OBS_TMP/ckpt_plain.json" \
+    "$OBS_TMP/ckpt_plain.norm"
+  python3 "$OBS_TMP/strip.py" "$OBS_TMP/ckpt_metrics.json" \
+    "$OBS_TMP/ckpt_resumed.norm"
+  cmp "$OBS_TMP/ckpt_plain.norm" "$OBS_TMP/ckpt_resumed.norm"
+  echo "check.sh: checkpoint smoke OK (SIGTERM -> exit 3 -> resume" \
+       "identical to an uninterrupted run)"
 fi
 
 cmake -B build-tsan -S . -DFSCT_SANITIZE=thread "$@"
 cmake --build build-tsan -j \
   --target parallel_test determinism_test pipeline_test \
            seq_fault_sim_test comb_fault_sim_test classify_test obs_test \
-           selfcheck_test bench_harness_test serve_test shard_test
+           selfcheck_test bench_harness_test checkpoint_test
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
   --output-on-failure -R "$CONCURRENCY_TESTS"
 

@@ -9,10 +9,12 @@
 //       insert a TPI functional scan chain, report the overhead, optionally
 //       write the scanned netlist.
 //
+//   (stats, scan and test also take a suite name such as s1423, or s27 for
+//   the embedded ISCAS'89 s27, in place of a .bench path.)
+//
 //   fsct test     <circuit.bench> [--chains N] [--partial permille]
 //                 [--jobs N] [--simd-width W] [-o program.fsct]
-//                 [--shards K] [--checkpoint F] [--checkpoint-interval MS]
-//                 [--resume F]
+//                 [--checkpoint F] [--checkpoint-interval MS] [--resume F]
 //                 [--trace t.json] [--metrics m.json] [--profile p.json]
 //                 [--folded p.folded] [--metrics-out m.prom] [-v]
 //                 (alias: fsct run)
@@ -24,7 +26,9 @@
 //       report, --profile a per-fault work-attribution hotspot profile
 //       (fsct-profile-v1), --folded flamegraph folded stacks, --metrics-out
 //       an OpenMetrics text exposition, -v streams per-phase progress to
-//       stderr.
+//       stderr.  --checkpoint writes a resumable snapshot at pipeline safe
+//       points (a SIGTERM stops the run there, exit 3); --resume continues
+//       from one to the report an uninterrupted run would have written.
 //
 //   fsct profile  <profile.json|report.json> [--top K]
 //       render a saved hotspot profile (or the attribution section of a
@@ -57,26 +61,9 @@
 //       noise-aware diff of two bench documents; exit 1 on regression,
 //       2 on structural mismatch or malformed input.
 //
-//   fsct serve    --socket PATH | --port N [--workers N] [--queue N]
-//                 [--cache-mb N] [--http-port N | --http-socket PATH]
-//                 [--request-log FILE] [-v]
-//       long-running screening daemon: newline-delimited JSON requests over
-//       a Unix-domain or loopback-TCP socket, compiled-circuit and result
-//       caches, bounded priority queue with backpressure, per-session
-//       progress streaming, graceful drain on SIGTERM (see src/serve/).
-//       --http-port/--http-socket mount the observability plane (/metrics,
-//       /healthz, /readyz, /statusz); --request-log appends one NDJSON line
-//       per request (id, circuit hash, cache outcomes, phase latencies).
-//
-//   fsct stat     --socket PATH | --port N | http://127.0.0.1:N
-//       scrape a running daemon's /metrics + /statusz and render a
-//       one-screen status: uptime, queue, caches, latency quantiles,
-//       in-flight sessions.
-//
 // Long runs: every pipeline-running command accepts SIGUSR1 and prints a
 // live status dump (phase progress, worker stats, RSS, counters) without
 // disturbing the run; --progress adds a periodic heartbeat line with ETA.
-#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -85,7 +72,6 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -93,6 +79,7 @@
 #include "bench_circuits/paper_examples.h"
 #include "bench_circuits/suite.h"
 #include "core/bench_harness.h"
+#include "core/checkpoint.h"
 #include "core/diagnose.h"
 #include "core/obs.h"
 #include "core/pipeline.h"
@@ -103,10 +90,6 @@
 #include "netlist/bench_io.h"
 #include "netlist/stats.h"
 #include "scan/tpi.h"
-#include "serve/http.h"
-#include "serve/net.h"
-#include "serve/serve.h"
-#include "shard/shard.h"
 #include "sim/soa_circuit.h"
 
 namespace {
@@ -138,8 +121,7 @@ struct Args {
   bool verbose = false;      // -v: per-phase progress on stderr
   bool progress = false;     // --progress: heartbeat lines on stderr
   bool no_dominance = false; // --no-dominance: plain target order, no credit
-  // shard / checkpoint (test)
-  int shards = 1;                  // --shards: worker process count
+  // checkpoint (test)
   std::string checkpoint_path;     // --checkpoint: fsct-ckpt-v1 snapshot file
   int checkpoint_interval_ms = 0;  // --checkpoint-interval: min ms between
   std::string resume_path;         // --resume: continue from a checkpoint
@@ -161,15 +143,6 @@ struct Args {
   std::string oracles = "all";
   bool no_shrink = false;
   std::string corpus;
-  // serve / stat
-  std::string serve_socket;  // --socket: Unix-domain socket path
-  int serve_port = -1;       // --port: loopback TCP port (0 = ephemeral)
-  int workers = 1;           // --workers: concurrent screening sessions
-  int queue_limit = 16;      // --queue: queued requests beyond in-flight
-  int cache_mb = 256;        // --cache-mb: compiled-model cache budget
-  std::string http_socket;   // --http-socket: observability HTTP unix socket
-  int http_port = -1;        // --http-port: observability HTTP TCP port
-  std::string request_log;   // --request-log: NDJSON request log file
 };
 
 /// Checked integer parse: the whole token must be a number and it must land
@@ -296,24 +269,6 @@ Args parse(int argc, char** argv) {
       a.max_ffs = static_cast<int>(int_operand(s, 2, 10000));
     } else if (s == "--oracles") {
       a.oracles = operand(s);
-    } else if (s == "--socket") {
-      a.serve_socket = operand(s);
-    } else if (s == "--port") {
-      a.serve_port = static_cast<int>(int_operand(s, 0, 65535));
-    } else if (s == "--workers") {
-      a.workers = static_cast<int>(int_operand(s, 1, 256));
-    } else if (s == "--queue") {
-      a.queue_limit = static_cast<int>(int_operand(s, 1, 100000));
-    } else if (s == "--cache-mb") {
-      a.cache_mb = static_cast<int>(int_operand(s, 1, 1 << 20));
-    } else if (s == "--http-socket") {
-      a.http_socket = operand(s);
-    } else if (s == "--http-port") {
-      a.http_port = static_cast<int>(int_operand(s, 0, 65535));
-    } else if (s == "--request-log") {
-      a.request_log = operand(s);
-    } else if (s == "--shards") {
-      a.shards = static_cast<int>(int_operand(s, 1, 64));
     } else if (s == "--checkpoint") {
       a.checkpoint_path = operand(s);
     } else if (s == "--checkpoint-interval") {
@@ -361,15 +316,31 @@ Fault find_fault(const Netlist& nl, const Args& a) {
   return Fault{n, -1, a.fault_value != 0};
 }
 
+/// Resolves a circuit operand: an existing .bench file wins; otherwise "s27"
+/// is the embedded ISCAS'89 s27 and a paper-suite name ("s1423") builds the
+/// synthetic stand-in, the same resolution `fsct bench run` uses.
+Netlist load_circuit(const std::string& arg) {
+  if (!std::filesystem::exists(arg)) {
+    if (arg == "s27") return iscas_s27();
+    try {
+      return build_suite_circuit(suite_entry(arg));
+    } catch (const std::exception&) {
+      // Not a suite name either: fall through to the file error below,
+      // which names the path the user asked for.
+    }
+  }
+  return read_bench_file(arg);
+}
+
 int cmd_stats(const Args& a) {
-  const Netlist nl = read_bench_file(positional(a, 0, "<circuit.bench>"));
+  const Netlist nl = load_circuit(positional(a, 0, "<circuit.bench>"));
   std::printf("%s\n%s", nl.name().c_str(),
               stats_string(compute_stats(nl)).c_str());
   return 0;
 }
 
 int cmd_scan(const Args& a) {
-  Netlist nl = read_bench_file(positional(a, 0, "<circuit.bench>"));
+  Netlist nl = load_circuit(positional(a, 0, "<circuit.bench>"));
   require_unscanned(nl);
   TpiOptions topt;
   topt.num_chains = a.chains;
@@ -392,21 +363,6 @@ int cmd_scan(const Args& a) {
     std::printf("wrote %s\n", a.out.c_str());
   }
   return 0;
-}
-
-/// Resolves a circuit operand: an existing .bench file wins; otherwise a
-/// paper-suite name ("s1423") builds the synthetic stand-in, the same
-/// resolution `fsct bench run` uses.
-Netlist load_circuit(const std::string& arg) {
-  if (!std::filesystem::exists(arg)) {
-    try {
-      return build_suite_circuit(suite_entry(arg));
-    } catch (const std::exception&) {
-      // Not a suite name either: fall through to the file error below,
-      // which names the path the user asked for.
-    }
-  }
-  return read_bench_file(arg);
 }
 
 int cmd_test(const Args& a) {
@@ -453,45 +409,30 @@ int cmd_test(const Args& a) {
       };
     }
   }
-  // Sharded execution kicks in for --shards > 1 and whenever a checkpoint
-  // is involved (--checkpoint/--resume run through the shard runner even at
-  // one shard, so the checkpoint cadence is shard-count independent).
-  const bool use_shards = a.shards > 1 || !a.checkpoint_path.empty() ||
-                          !a.resume_path.empty();
+  const bool checkpointing =
+      !a.checkpoint_path.empty() || !a.resume_path.empty();
   PipelineResult r;
-  if (use_shards) {
-    ShardOptions shopt;
-    shopt.shards = a.shards;
-    shopt.checkpoint_path = a.checkpoint_path;
-    shopt.checkpoint_interval_ms = a.checkpoint_interval_ms;
-    shopt.resume_path = a.resume_path;
-    shopt.catch_sigterm = !a.checkpoint_path.empty();
-    // Fork the workers BEFORE any thread exists in this process (the
-    // ObsMonitor heartbeat thread, the pipeline pool): a fork after that
-    // would clone locked mutexes into the children.
-    ShardRunner runner(model, faults, opt, shopt);
-    install_sigusr1_handler();
-    try {
-      ObsMonitor::Options mopt;
-      mopt.heartbeat = a.progress;
-      const ObsMonitor monitor(mopt);
-      r = runner.run();
-    } catch (const PipelineStopped& e) {
-      std::fprintf(stderr, "fsct test: %s\n", e.what());
-      if (!a.checkpoint_path.empty()) {
-        std::fprintf(stderr,
-                     "fsct test: checkpoint written to %s — resume with "
-                     "--resume %s\n",
-                     a.checkpoint_path.c_str(), a.checkpoint_path.c_str());
-      }
-      return 3;
-    }
-  } else {
-    install_sigusr1_handler();
+  install_sigusr1_handler();
+  try {
     ObsMonitor::Options mopt;
     mopt.heartbeat = a.progress;
     const ObsMonitor monitor(mopt);  // SIGUSR1 dumps; heartbeat on --progress
-    r = run_fsct_pipeline(model, faults, opt);
+    if (checkpointing) {
+      CheckpointOptions copt;
+      copt.checkpoint_path = a.checkpoint_path;
+      copt.checkpoint_interval_ms = a.checkpoint_interval_ms;
+      copt.resume_path = a.resume_path;
+      r = run_checkpointed_pipeline(model, faults, opt, copt);
+    } else {
+      r = run_fsct_pipeline(model, faults, opt);
+    }
+  } catch (const PipelineStopped& e) {
+    std::fprintf(stderr, "fsct test: %s\n", e.what());
+    std::fprintf(stderr,
+                 "fsct test: checkpoint written to %s — resume with "
+                 "--resume %s\n",
+                 a.checkpoint_path.c_str(), a.checkpoint_path.c_str());
+    return 3;
   }
 
   if (!a.trace_path.empty()) {
@@ -506,25 +447,7 @@ int cmd_test(const Args& a) {
   if (!a.metrics_path.empty()) {
     std::ofstream ms(a.metrics_path);
     if (!ms) throw std::runtime_error("cannot open " + a.metrics_path);
-    if (use_shards) {
-      // Stamp process-topology provenance the same way the daemon stamps
-      // "serve": inside the report, stripped by normalized_report, so the
-      // sharded-vs-single-process bitwise identity contract never sees it.
-      std::ostringstream rs;
-      reg.write_run_report(rs, r, want_attr ? &actx : nullptr);
-      std::string report = rs.str();
-      const std::size_t brace = report.rfind('}');
-      if (brace != std::string::npos) {
-        report.insert(brace, ", \"shard\": {\"shards\": " +
-                                 std::to_string(a.shards) +
-                                 ", \"resumed\": " +
-                                 (a.resume_path.empty() ? "false" : "true") +
-                                 "}");
-      }
-      ms << report;
-    } else {
-      reg.write_run_report(ms, r, want_attr ? &actx : nullptr);
-    }
+    reg.write_run_report(ms, r, want_attr ? &actx : nullptr);
     std::printf("wrote metrics %s\n", a.metrics_path.c_str());
   }
   if (!a.metrics_out.empty()) {
@@ -554,11 +477,6 @@ int cmd_test(const Args& a) {
 
   std::printf("jobs: %u | classify %.3fs | step 2 %.3fs | step 3 %.3fs\n",
               r.jobs_used, r.classify_seconds, r.s2_seconds, r.s3_seconds);
-  if (use_shards) {
-    std::printf("shards: %d worker process%s%s\n", a.shards,
-                a.shards == 1 ? "" : "es",
-                a.resume_path.empty() ? "" : " (resumed from checkpoint)");
-  }
   std::printf("%zu faults | affecting %zu (%.1f%%) | easy %zu (verified %zu) "
               "| hard %zu\n",
               r.total_faults, r.affecting(),
@@ -838,258 +756,6 @@ int cmd_profile(const Args& a) {
   return 0;
 }
 
-int cmd_serve(const Args& a) {
-  if (a.serve_socket.empty() && a.serve_port < 0) {
-    throw UsageError("serve: pass --socket PATH or --port N");
-  }
-  if (!a.serve_socket.empty() && a.serve_port >= 0) {
-    throw UsageError("serve: --socket and --port are mutually exclusive");
-  }
-  if (!a.http_socket.empty() && a.http_port >= 0) {
-    throw UsageError(
-        "serve: --http-socket and --http-port are mutually exclusive");
-  }
-  ServeOptions sopt;
-  sopt.unix_path = a.serve_socket;
-  sopt.tcp_port = a.serve_port;
-  sopt.workers = a.workers;
-  sopt.queue_limit = static_cast<std::size_t>(a.queue_limit);
-  sopt.cache_mb = static_cast<std::size_t>(a.cache_mb);
-  sopt.http_unix_path = a.http_socket;
-  sopt.http_port = a.http_port;
-  sopt.request_log_path = a.request_log;
-  sopt.verbose = true;  // a daemon's lifecycle lines are ops, not chatter
-  ServeServer server(sopt);
-  if (a.serve_port >= 0) {
-    std::printf("fsct serve: listening on 127.0.0.1:%d\n", server.port());
-    std::fflush(stdout);
-  }
-  if (a.http_port >= 0) {
-    std::printf("fsct serve: metrics on 127.0.0.1:%d\n", server.http_port());
-    std::fflush(stdout);
-  }
-  // SIGUSR1 prints the status of whatever request is in flight (the global
-  // status registry is set per pipeline run), pinned for the daemon's life.
-  install_sigusr1_handler();
-  const ObsMonitor monitor;
-  server.run();  // returns after the SIGTERM/SIGINT drain completes
-  return 0;
-}
-
-/// One GET against the daemon's observability plane; target resolved from
-/// --socket (HTTP over the unix socket), --port, or a http://127.0.0.1:N
-/// positional URL.  A fresh connection per request (the server closes after
-/// each response).
-HttpResult stat_get(const Args& a, const std::string& target) {
-  int fd;
-  if (!a.serve_socket.empty()) {
-    fd = connect_unix(a.serve_socket);
-  } else if (a.serve_port >= 0) {
-    fd = connect_tcp(a.serve_port);
-  } else {
-    const std::string& url =
-        positional(a, 0, "<--socket PATH | --port N | URL>");
-    const std::string prefix = "http://";
-    if (url.compare(0, prefix.size(), prefix) != 0) {
-      throw UsageError("stat: expected --socket, --port or a http:// URL");
-    }
-    const std::size_t colon = url.rfind(':');
-    const std::string host = url.substr(prefix.size(),
-                                        colon - prefix.size());
-    if (colon == std::string::npos || colon < prefix.size() ||
-        (host != "127.0.0.1" && host != "localhost")) {
-      throw UsageError("stat: only http://127.0.0.1:PORT (or localhost) URLs "
-                       "are supported — the daemon listens on loopback only");
-    }
-    std::string port_str = url.substr(colon + 1);
-    if (const std::size_t slash = port_str.find('/');
-        slash != std::string::npos) {
-      port_str.erase(slash);
-    }
-    fd = connect_tcp(static_cast<int>(
-        parse_int("stat URL port", port_str.c_str(), 1, 65535)));
-  }
-  return http_get_fd(fd, target);
-}
-
-/// Parsed /metrics scrape: plain (label-free) samples by name, histogram
-/// families by their cumulative bucket sequence in exposition order.
-struct MetricsScrape {
-  std::map<std::string, double> flat;
-  std::map<std::string, std::vector<double>> bucket_cum;
-};
-
-MetricsScrape parse_metrics(const std::string& text) {
-  MetricsScrape m;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::string name = line;
-    std::size_t value_at;
-    const std::size_t brace = line.find('{');
-    if (brace != std::string::npos) {
-      name = line.substr(0, brace);
-      const std::size_t close = line.find('}', brace);
-      if (close == std::string::npos) continue;
-      value_at = close + 2;
-    } else {
-      const std::size_t sp = line.find(' ');
-      if (sp == std::string::npos) continue;
-      name = line.substr(0, sp);
-      value_at = sp + 1;
-    }
-    if (value_at >= line.size()) continue;
-    const double v = std::strtod(line.c_str() + value_at, nullptr);
-    const std::string bucket_suffix = "_bucket";
-    if (name.size() > bucket_suffix.size() &&
-        name.compare(name.size() - bucket_suffix.size(), bucket_suffix.size(),
-                     bucket_suffix) == 0) {
-      m.bucket_cum[name.substr(0, name.size() - bucket_suffix.size())]
-          .push_back(v);
-    } else {
-      m.flat[name] = v;
-    }
-  }
-  return m;
-}
-
-/// De-cumulates a scraped bucket sequence back into the log2 bucket array
-/// hist_quantile expects.  Sequences of the wrong length (not an fsct
-/// histogram) come back empty.
-std::array<std::uint64_t, kHistBuckets> decumulate(
-    const std::vector<double>& cum) {
-  std::array<std::uint64_t, kHistBuckets> b{};
-  if (cum.size() != kHistBuckets) return b;
-  double prev = 0;
-  for (std::size_t i = 0; i < kHistBuckets; ++i) {
-    b[i] = static_cast<std::uint64_t>(cum[i] - prev);
-    prev = cum[i];
-  }
-  return b;
-}
-
-int cmd_stat(const Args& a) {
-  const HttpResult metrics = stat_get(a, "/metrics");
-  if (metrics.status != 200) {
-    throw std::runtime_error("stat: /metrics returned HTTP " +
-                             std::to_string(metrics.status));
-  }
-  const HttpResult statusz = stat_get(a, "/statusz");
-  if (statusz.status != 200) {
-    throw std::runtime_error("stat: /statusz returned HTTP " +
-                             std::to_string(statusz.status));
-  }
-  const MetricsScrape m = parse_metrics(metrics.body);
-  const auto flat = [&m](const char* name) -> double {
-    const auto it = m.flat.find(name);
-    return it == m.flat.end() ? 0 : it->second;
-  };
-
-  std::printf("fsct daemon: up %.1fs%s\n",
-              flat("fsct_serve_uptime_seconds"),
-              flat("fsct_serve_draining") != 0 ? "  [DRAINING]" : "");
-  std::printf("  workers %lld | queue %lld (high-water %lld) | "
-              "active sessions %lld\n",
-              static_cast<long long>(flat("fsct_serve_workers")),
-              static_cast<long long>(flat("fsct_serve_queue_depth")),
-              static_cast<long long>(flat("fsct_serve_queue_highwater")),
-              static_cast<long long>(flat("fsct_serve_active_sessions")));
-  std::printf("  requests %lld: %lld ok, %lld error, %lld busy-rejected, "
-              "%lld drain-rejected\n",
-              static_cast<long long>(flat("fsct_serve_requests_total")),
-              static_cast<long long>(flat("fsct_serve_requests_ok_total")),
-              static_cast<long long>(flat("fsct_serve_requests_error_total")),
-              static_cast<long long>(flat("fsct_serve_rejected_busy_total")),
-              static_cast<long long>(
-                  flat("fsct_serve_rejected_draining_total")));
-  std::printf("  model cache: %lld hits / %lld misses / %lld evictions | "
-              "%lld entries, %.1f MB\n",
-              static_cast<long long>(flat("fsct_serve_model_cache_hits_total")),
-              static_cast<long long>(
-                  flat("fsct_serve_model_cache_misses_total")),
-              static_cast<long long>(
-                  flat("fsct_serve_model_cache_evictions_total")),
-              static_cast<long long>(flat("fsct_serve_model_cache_entries")),
-              flat("fsct_serve_model_cache_bytes") / (1024.0 * 1024.0));
-  std::printf("  result cache: %lld hits / %lld misses / %lld evictions | "
-              "%lld entries\n",
-              static_cast<long long>(
-                  flat("fsct_serve_result_cache_hits_total")),
-              static_cast<long long>(
-                  flat("fsct_serve_result_cache_misses_total")),
-              static_cast<long long>(
-                  flat("fsct_serve_result_cache_evictions_total")),
-              static_cast<long long>(flat("fsct_serve_result_cache_entries")));
-
-  std::printf("  latency p50/p90/p99 (ms):\n");
-  const struct { const char* label; const char* family; } kPhases[] = {
-      {"queue-wait", "fsct_serve_latency_queue_us"},
-      {"compile", "fsct_serve_latency_compile_us"},
-      {"pipeline", "fsct_serve_latency_pipeline_us"},
-      {"serialize", "fsct_serve_latency_serialize_us"},
-  };
-  for (const auto& ph : kPhases) {
-    const auto it = m.bucket_cum.find(ph.family);
-    if (it == m.bucket_cum.end()) continue;
-    const auto buckets = decumulate(it->second);
-    const double p50 = hist_quantile(buckets, 0.50);
-    const double p90 = hist_quantile(buckets, 0.90);
-    const double p99 = hist_quantile(buckets, 0.99);
-    if (p50 < 0) {
-      std::printf("    %-10s (no samples)\n", ph.label);
-    } else {
-      std::printf("    %-10s %8.2f / %8.2f / %8.2f\n", ph.label, p50 / 1e3,
-                  p90 / 1e3, p99 / 1e3);
-    }
-  }
-
-  // In-flight sessions from /statusz (phase/done/total come from each
-  // session's live registry).
-  JsonParser p(statusz.body, "/statusz");
-  const JVal v = p.parse();
-  if (const JVal* sessions = v.find("active_sessions");
-      sessions && sessions->kind == JVal::Arr && !sessions->arr.empty()) {
-    std::printf("  in-flight:\n");
-    for (const JVal& s : sessions->arr) {
-      const JVal* rid = s.find("request_id");
-      const JVal* id = s.find("id");
-      const JVal* circuit = s.find("circuit");
-      const JVal* phase = s.find("phase");
-      const JVal* done = s.find("done");
-      const JVal* total = s.find("total");
-      const JVal* elapsed = s.find("elapsed_seconds");
-      std::printf("    #%lld id=%s circuit=%s %.1fs",
-                  rid && rid->kind == JVal::Num
-                      ? static_cast<long long>(rid->num)
-                      : 0LL,
-                  id && id->kind == JVal::Str && !id->str.empty()
-                      ? id->str.c_str()
-                      : "-",
-                  circuit && circuit->kind == JVal::Str
-                      ? circuit->str.c_str()
-                      : "?",
-                  elapsed && elapsed->kind == JVal::Num ? elapsed->num : 0.0);
-      if (phase && phase->kind == JVal::Str) {
-        std::printf("  %s %lld/%lld", phase->str.c_str(),
-                    done && done->kind == JVal::Num
-                        ? static_cast<long long>(done->num)
-                        : 0LL,
-                    total && total->kind == JVal::Num
-                        ? static_cast<long long>(total->num)
-                        : 0LL);
-      }
-      std::printf("\n");
-    }
-  }
-  if (const JVal* recent = v.find("recent");
-      recent && recent->kind == JVal::Arr) {
-    std::printf("  recent requests in ring: %zu (full detail on /statusz)\n",
-                recent->arr.size());
-  }
-  return 0;
-}
-
 int cmd_bench(const Args& a) {
   const std::string& sub = positional(a, 0, "<run|compare>");
   if (sub == "run") return cmd_bench_run(a);
@@ -1106,8 +772,7 @@ void print_usage(std::FILE* f = stdout) {
       "  stats    <circuit.bench>                netlist statistics\n"
       "  scan     <circuit.bench> [-o out.bench] insert a TPI scan chain\n"
       "  test     <circuit.bench> [-o prog.fsct] full screening pipeline\n"
-      "           (alias: run)                   sharded + resumable with\n"
-      "                                          --shards / --checkpoint /\n"
+      "           (alias: run)                   resumable with --checkpoint /\n"
       "                                          --resume\n"
       "  replay   <prog.fsct> <circuit.bench>    run a program on a device\n"
       "  diagnose <circuit.bench> --fault NET V  rank chain-defect suspects\n"
@@ -1120,13 +785,9 @@ void print_usage(std::FILE* f = stdout) {
       "  bench    compare <old.json> <new.json>  noise-aware regression diff\n"
       "                                          (exit 1 regression,\n"
       "                                          2 mismatch)\n"
-      "  serve    --socket PATH | --port N       screening daemon with a\n"
-      "                                          compiled-circuit cache;\n"
-      "                                          NDJSON requests, graceful\n"
-      "                                          SIGTERM drain\n"
-      "  stat     --socket PATH | --port N | URL scrape a running daemon's\n"
-      "                                          /metrics + /statusz into a\n"
-      "                                          one-screen status\n"
+      "\n"
+      "  <circuit.bench> may also name a suite circuit (s1423 ... s38584)\n"
+      "  or s27, the embedded ISCAS'89 s27 (stats, scan, test).\n"
       "\n"
       "options:\n"
       "  --chains N        number of scan chains to insert (default 1)\n"
@@ -1142,9 +803,6 @@ void print_usage(std::FILE* f = stdout) {
       "  --no-dominance    disable dominance collapsing, SCOAP target\n"
       "                    ordering and cross-phase detection credit (test);\n"
       "                    restores the plain per-fault targeting order\n"
-      "  --shards K        run the pipeline across K forked worker processes\n"
-      "                    (1-64); the report is bitwise identical to a\n"
-      "                    single-process run at any K (test)\n"
       "  --checkpoint F    write an fsct-ckpt-v1 snapshot to F atomically at\n"
       "                    pipeline safe points and on SIGTERM; a stopped run\n"
       "                    exits 3 with the checkpoint on disk (test)\n"
@@ -1152,8 +810,9 @@ void print_usage(std::FILE* f = stdout) {
       "                    checkpoint writes (default 0 = every safe point)\n"
       "  --resume F        continue from checkpoint F: completed work is\n"
       "                    skipped and the final report is bitwise identical\n"
-      "                    to an uninterrupted run; refused if F was written\n"
-      "                    by a different circuit or configuration (test)\n"
+      "                    to an uninterrupted run at any --jobs; refused if\n"
+      "                    F was written by a different circuit or\n"
+      "                    configuration (test)\n"
       "  --trace FILE      write a Chrome trace-event JSON of the run;\n"
       "                    load in chrome://tracing or Perfetto (test)\n"
       "  --metrics FILE    write a structured JSON run report: results,\n"
@@ -1187,25 +846,6 @@ void print_usage(std::FILE* f = stdout) {
       "  --rel-threshold P relative regression threshold (default 0.10)\n"
       "  --mad-k K         noise window in MAD multiples (default 3.0)\n"
       "\n"
-      "serve options:\n"
-      "  --socket PATH     listen on a Unix-domain socket at PATH\n"
-      "  --port N          listen on loopback TCP port N (0 = ephemeral;\n"
-      "                    the chosen port is printed)\n"
-      "  --workers N       concurrent screening sessions (default 1)\n"
-      "  --queue N         request-queue capacity; beyond it requests are\n"
-      "                    rejected with code \"busy\" (default 16)\n"
-      "  --cache-mb N      compiled-model cache budget, LRU-evicted\n"
-      "                    (default 256)\n"
-      "  --http-port N     mount the observability HTTP plane on loopback\n"
-      "                    TCP port N (0 = ephemeral): GET /metrics\n"
-      "                    (OpenMetrics), /healthz, /readyz (503 while\n"
-      "                    draining), /statusz (in-flight sessions + recent\n"
-      "                    requests as JSON)\n"
-      "  --http-socket P   same observability plane on a Unix socket at P\n"
-      "  --request-log F   append one NDJSON line per request to F:\n"
-      "                    request_id, circuit hash, priority, cache\n"
-      "                    outcomes, per-phase latencies, status\n"
-      "\n"
       "fuzz options:\n"
       "  --seed S          base seed; (seed, offset) fixes every iteration\n"
       "  --iters N         iterations to run (default 100)\n"
@@ -1213,8 +853,7 @@ void print_usage(std::FILE* f = stdout) {
       "                    with --offset K --iters 1)\n"
       "  --oracles LIST    comma-separated subset: packed-sim, ppsfp-seq,\n"
       "                    cat3-scanout, jobs-identity, export-replay,\n"
-      "                    dominance, simd, shard, all (shard — single vs\n"
-      "                    multi-process equivalence — is opt-in by name)\n"
+      "                    dominance, simd, resume, all (default)\n"
       "  --max-gates N     largest random circuit drawn (default 70)\n"
       "  --max-ffs N       largest flip-flop count drawn (default 10)\n"
       "  --no-shrink       emit failing circuits unminimized\n"
@@ -1236,9 +875,6 @@ int main(int argc, char** argv) {
     print_usage();
     return 0;
   }
-  // The multi-process runner registers itself as the fuzzer's `shard`
-  // oracle; without this call `--oracles shard` is a loud failure.
-  register_shard_oracle();
   try {
     const Args a = parse(argc, argv);
     // Process-wide: every engine constructed with width 0 (the default)
@@ -1253,8 +889,6 @@ int main(int argc, char** argv) {
     if (cmd == "fuzz") return cmd_fuzz(a);
     if (cmd == "profile") return cmd_profile(a);
     if (cmd == "bench") return cmd_bench(a);
-    if (cmd == "serve") return cmd_serve(a);
-    if (cmd == "stat") return cmd_stat(a);
     std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
     print_usage(stderr);
     return 2;
