@@ -335,6 +335,20 @@ std::string oracle_export_replay(const ScannedWorld& w,
     return std::string(kOracleNames[4]) +
            ": program changed across write/read round-trip";
   }
+  // Replay skips a strobe when either side is X, so it cannot see an export
+  // that predicts X where the serial machine has 0/1: compare every cell.
+  const std::vector<NodeId> observe = bind_test_program(nl, p).observe;
+  const auto serial_exp = serial_strobes(*w.lv, p.stimulus, observe);
+  for (std::size_t t = 0; t < serial_exp.size(); ++t) {
+    for (std::size_t o = 0; o < observe.size(); ++o) {
+      if (p.expected[t][o] != serial_exp[t][o]) {
+        return std::string(kOracleNames[4]) + ": cycle " + std::to_string(t) +
+               " strobe " + p.observe_names[o] + " exported as " +
+               val_char(p.expected[t][o]) + ", serial SeqSim has " +
+               val_char(serial_exp[t][o]);
+      }
+    }
+  }
   if (const std::size_t mm = run_test_program(*w.lv, q); mm != 0) {
     return std::string(kOracleNames[4]) + ": fault-free replay reports " +
            std::to_string(mm) + " strobe mismatches";

@@ -18,8 +18,10 @@
 //   O4 jobs-identity  the pipeline must be bitwise identical at jobs=1 and
 //                     jobs=N (wall-clock ATPG budgets disabled),
 //   O5 export-replay  an exported test program must round-trip through the
-//                     text format unchanged, replay mismatch-free on the
-//                     fault-free device, and kill covered faults on replay,
+//                     text format unchanged, equal a scalar SeqSim replay
+//                     from power-up strobe for strobe (X included), replay
+//                     mismatch-free on the fault-free device, and kill
+//                     covered faults on replay,
 //   O6 dominance      the dominance + detection-ledger pipeline must agree
 //                     with a --no-dominance run: classification is
 //                     flag-independent, and every fault whose detected

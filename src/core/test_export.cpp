@@ -5,9 +5,12 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <unordered_set>
 
 #include "scan/scan_sequences.h"
 #include "sim/seq_sim.h"
+#include "sim/soa_circuit.h"
 
 namespace fsct {
 namespace {
@@ -27,6 +30,94 @@ std::vector<std::string> split_ws(const std::string& s) {
 
 }  // namespace
 
+StrobeRun simulate_strobes(const Levelizer& lv, const TestSequence& stimulus,
+                           std::span<const NodeId> observe) {
+  using Word = WideVal<1>;
+  constexpr std::size_t kLanes = Word::kLanes;
+  const std::shared_ptr<const SoaCircuit> soa = SoaCircuit::compile(lv);
+  const std::size_t n_pi = soa->inputs().size();
+  const std::size_t n_obs = observe.size();
+  const std::size_t cycles = stimulus.size();
+  for (const auto& row : stimulus) {
+    if (row.size() != n_pi) {
+      throw std::invalid_argument("step: PI vector size mismatch");
+    }
+  }
+  StrobeRun run;
+  run.expected.resize(cycles);
+  if (cycles == 0) return run;
+
+  // Lane k simulates cycles [k * len, (k + 1) * len); only the last chunk
+  // may be shorter, and its lane idles on X inputs past the end.
+  const std::size_t len = (cycles + kLanes - 1) / kLanes;
+  run.chunks = (cycles + len - 1) / len;
+  std::vector<Word> pis(len * n_pi, Word::broadcast(Val::X));
+  for (std::size_t t = 0; t < cycles; ++t) {
+    const unsigned lane = static_cast<unsigned>(t / len);
+    Word* step_pis = pis.data() + (t % len) * n_pi;
+    for (std::size_t i = 0; i < n_pi; ++i) step_pis[i].set(lane, stimulus[t][i]);
+  }
+
+  // Round r starts lane k from init_k and ends it in end_k; the next round
+  // starts lane k + 1 from end_k.  init_0 is the all-X power-up state in
+  // every round, so after round r chunks 0..r are exact; once no init
+  // changes, every chunk starts where its predecessor ended and the lanes
+  // join into the serial trajectory, X for X.
+  const std::uint64_t successors =
+      (run.chunks == kLanes ? ~0ull : (1ull << run.chunks) - 1) & ~1ull;
+  WideSeqSim<1> sim(soa);
+  std::vector<Word> init(soa->dffs().size(), Word::broadcast(Val::X));
+  std::vector<Word> strobes(len * n_obs);
+  for (bool changed = true; changed;) {
+    ++run.rounds;
+    sim.set_state(init);
+    for (std::size_t s = 0; s < len; ++s) {
+      const WideSim<1>& v = sim.step({pis.data() + s * n_pi, n_pi});
+      Word* out = strobes.data() + s * n_obs;
+      for (std::size_t o = 0; o < n_obs; ++o) out[o] = v.value(observe[o]);
+    }
+    changed = false;
+    for (std::size_t f = 0; f < init.size(); ++f) {
+      const Word& end = sim.state()[f];
+      const Word next{{(end.zero[0] << 1) & successors},
+                      {(end.one[0] << 1) & successors}};
+      changed |= next != init[f];
+      init[f] = next;
+    }
+  }
+
+  // Step-major so one step's strobes stay in cache across its 64 cycles.
+  for (auto& row : run.expected) row.resize(n_obs);
+  for (std::size_t s = 0; s < len; ++s) {
+    const Word* in = strobes.data() + s * n_obs;
+    for (std::size_t lane = 0, t = s; t < cycles; ++lane, t += len) {
+      Val* row = run.expected[t].data();
+      for (std::size_t o = 0; o < n_obs; ++o) {
+        // Branch-free Word::at(): Zero = 0, One = 1, X = 2.
+        const unsigned z = (in[o].zero[0] >> lane) & 1u;
+        const unsigned one = (in[o].one[0] >> lane) & 1u;
+        row[o] = static_cast<Val>(one | ((z | one) ^ 1u) << 1);
+      }
+    }
+  }
+  return run;
+}
+
+std::vector<std::vector<Val>> serial_strobes(const Levelizer& lv,
+                                             const TestSequence& stimulus,
+                                             std::span<const NodeId> observe) {
+  SeqSim sim(lv);
+  std::vector<std::vector<Val>> expected;
+  expected.reserve(stimulus.size());
+  for (const auto& pi : stimulus) {
+    const auto& v = sim.step(pi);
+    std::vector<Val>& row = expected.emplace_back();
+    row.reserve(observe.size());
+    for (NodeId o : observe) row.push_back(v[o]);
+  }
+  return expected;
+}
+
 TestProgram make_test_program(const ScanModeModel& model,
                               TestSequence stimulus,
                               std::vector<NodeId> observe) {
@@ -45,16 +136,7 @@ TestProgram make_test_program(const ScanModeModel& model,
   for (NodeId pi : nl.inputs()) p.input_names.push_back(nl.node_name(pi));
   for (NodeId o : observe) p.observe_names.push_back(nl.node_name(o));
   p.stimulus = std::move(stimulus);
-
-  SeqSim sim(lv);
-  p.expected.reserve(p.stimulus.size());
-  for (const auto& pi : p.stimulus) {
-    const auto& v = sim.step(pi);
-    std::vector<Val> row;
-    row.reserve(observe.size());
-    for (NodeId o : observe) row.push_back(v[o]);
-    p.expected.push_back(std::move(row));
-  }
+  p.expected = simulate_strobes(lv, p.stimulus, observe).expected;
   return p;
 }
 
@@ -66,12 +148,16 @@ void write_test_program(std::ostream& os, const TestProgram& p) {
   os << "\nobserve";
   for (const auto& n : p.observe_names) os << ' ' << n;
   os << "\ncycles " << p.stimulus.size() << "\n";
+  // One formatted row, one write: streaming char by char dominates the
+  // write of a large program.
+  std::string row;
   for (std::size_t t = 0; t < p.stimulus.size(); ++t) {
-    os << "v ";
-    for (Val v : p.stimulus[t]) os << val_char(v);
-    os << " | ";
-    for (Val v : p.expected[t]) os << val_char(v);
-    os << "\n";
+    row.assign("v ");
+    for (Val v : p.stimulus[t]) row += val_char(v);
+    row += " | ";
+    for (Val v : p.expected[t]) row += val_char(v);
+    row += '\n';
+    os.write(row.data(), static_cast<std::streamsize>(row.size()));
   }
 }
 
@@ -106,10 +192,17 @@ TestProgram read_test_program(std::istream& is) {
     if (toks[0] == "circuit") {
       if (toks.size() != 2) fail(ln, "circuit takes one name");
       p.circuit = toks[1];
-    } else if (toks[0] == "inputs") {
-      p.input_names.assign(toks.begin() + 1, toks.end());
-    } else if (toks[0] == "observe") {
-      p.observe_names.assign(toks.begin() + 1, toks.end());
+    } else if (toks[0] == "inputs" || toks[0] == "observe") {
+      // A repeated name would bind two columns to one net and leave another
+      // input at X for the whole replay.
+      std::unordered_set<std::string_view> seen;
+      for (std::size_t i = 1; i < toks.size(); ++i) {
+        if (!seen.insert(toks[i]).second) {
+          fail(ln, "duplicate " + toks[0] + " name '" + toks[i] + "'");
+        }
+      }
+      (toks[0] == "inputs" ? p.input_names : p.observe_names)
+          .assign(toks.begin() + 1, toks.end());
     } else if (toks[0] == "cycles") {
       if (toks.size() != 2) fail(ln, "cycles takes one number");
       // std::stoul alone would accept "12abc" and throw context-free

@@ -16,6 +16,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,9 +35,30 @@ struct TestProgram {
   std::vector<std::vector<Val>> expected;      ///< per cycle, observe values
 };
 
-/// Builds a program from a stimulus: simulates the good machine from
-/// power-up (all-X state) and records the expected strobe values.
-/// `observe` empty = POs + scan-outs.
+/// Good-machine values of the `observe` nets at every cycle of `stimulus`
+/// (rows in netlist inputs() order), simulated from power-up (all-X state).
+struct StrobeRun {
+  std::vector<std::vector<Val>> expected;  ///< per cycle, observe values
+  std::size_t chunks = 0;  ///< contiguous stimulus chunks, one lane each (<= 64)
+  std::size_t rounds = 0;  ///< packed passes to the fixed point (<= chunks)
+};
+
+/// Computes the strobes time-parallel on the 64-lane SoA simulator: lane k
+/// runs stimulus chunk k, and each round restarts lane k + 1 from lane k's
+/// end state until no start state changes.  Exact, X for X, against the
+/// serial machine (DESIGN.md §5k).  Throws std::invalid_argument on a row of
+/// the wrong width.
+StrobeRun simulate_strobes(const Levelizer& lv, const TestSequence& stimulus,
+                           std::span<const NodeId> observe);
+
+/// The same strobes cycle by cycle on the scalar SeqSim: the oracle that
+/// simulate_strobes is checked against.
+std::vector<std::vector<Val>> serial_strobes(const Levelizer& lv,
+                                             const TestSequence& stimulus,
+                                             std::span<const NodeId> observe);
+
+/// Builds a program from a stimulus: records the expected strobe values of
+/// simulate_strobes.  `observe` empty = POs + scan-outs.
 TestProgram make_test_program(const ScanModeModel& model,
                               TestSequence stimulus,
                               std::vector<NodeId> observe = {});

@@ -397,6 +397,17 @@ class WideSeqSim {
 
   void reset(Val v) { state_.assign(state_.size(), WideVal<NW>::broadcast(v)); }
 
+  /// Sets flip-flop states, indexed in circuit dffs() order.
+  void set_state(std::span<const WideVal<NW>> state) {
+    if (state.size() != state_.size()) {
+      throw std::invalid_argument("set_state: size mismatch");
+    }
+    state_.assign(state.begin(), state.end());
+  }
+
+  /// Current (post-edge) flip-flop states in circuit dffs() order.
+  const std::vector<WideVal<NW>>& state() const { return state_; }
+
   /// `pi_values` indexed in circuit inputs() order.
   const WideSim<NW>& step(std::span<const WideVal<NW>> pi_values,
                           std::span<const WideInjection<NW>> inj = {}) {

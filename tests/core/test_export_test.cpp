@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "bench_circuits/generator.h"
 #include "bench_circuits/paper_examples.h"
+#include "bench_circuits/suite.h"
 #include "core/classify.h"
 #include "scan/scan_sequences.h"
 #include "scan/tpi.h"
@@ -93,6 +96,21 @@ TEST(TestExport, ParserRejectsMalformedInput) {
   EXPECT_THROW(read_test_program_string(
                    "FSCT-TEST 1\ninputs a\nobserve y\ncycles 1\nv 01 | 0\n"),
                std::runtime_error);  // stimulus width mismatch
+  // A repeated name would bind two columns to one input.
+  const std::pair<const char*, const char*> dups[] = {
+      {"FSCT-TEST 1\ninputs a b a\nobserve y\ncycles 0\n",
+       "line 2: duplicate inputs name 'a'"},
+      {"FSCT-TEST 1\ninputs a b\nobserve y z y\ncycles 0\n",
+       "line 3: duplicate observe name 'y'"}};
+  for (const auto& [text, want] : dups) {
+    try {
+      read_test_program_string(text);
+      ADD_FAILURE() << "accepted " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(TestExport, CommentsAndBlankLinesIgnored) {
@@ -112,6 +130,138 @@ TEST(TestExport, Figure2ProgramFromPipelineVectors) {
   EXPECT_EQ(run_test_program(lv, p), 0u);
   const Fault f{e.nl.find("a"), -1, true};  // category-1 chain fault
   EXPECT_GT(run_test_program(lv, p, &f), 0u);
+}
+
+// ---- the SoA export engine against its scalar SeqSim oracle ----------------
+
+Val rand_3val(std::mt19937_64& rng, unsigned x_in_8) {
+  const unsigned r = static_cast<unsigned>(rng() & 7);
+  return r < x_in_8 ? Val::X : (rng() & 1) ? Val::One : Val::Zero;
+}
+
+TestSequence random_stimulus(const Netlist& nl, std::size_t cycles,
+                             std::mt19937_64& rng, unsigned x_in_8 = 1) {
+  TestSequence seq(cycles, std::vector<Val>(nl.inputs().size()));
+  for (auto& row : seq) {
+    for (Val& v : row) v = rand_3val(rng, x_in_8);
+  }
+  return seq;
+}
+
+/// Primary outputs plus every flip-flop: the state nets are the ones a
+/// wrongly joined chunk would corrupt first.
+std::vector<NodeId> outputs_and_state(const Netlist& nl) {
+  std::vector<NodeId> observe = nl.outputs();
+  for (NodeId ff : nl.dffs()) {
+    if (!nl.is_output(ff)) observe.push_back(ff);
+  }
+  return observe;
+}
+
+/// `p` re-expected cycle by cycle on the scalar SeqSim, as text.
+std::string serial_program_text(const Levelizer& lv, TestProgram p) {
+  std::vector<NodeId> observe;
+  for (const auto& n : p.observe_names) observe.push_back(lv.netlist().find(n));
+  p.expected = serial_strobes(lv, p.stimulus, observe);
+  return write_test_program_string(p);
+}
+
+TEST(TestExport, SoaStrobesEqualSerialOnEverySuiteCircuit) {
+  std::vector<Netlist> circuits;
+  circuits.push_back(iscas_s27());
+  for (const SuiteEntry& e : paper_suite()) {
+    circuits.push_back(build_suite_circuit(e));
+  }
+  ASSERT_EQ(circuits.size(), 13u);
+  std::mt19937_64 rng(13);
+  for (const Netlist& nl : circuits) {
+    const Levelizer lv(nl);
+    const std::vector<NodeId> observe = outputs_and_state(nl);
+    // 200 cycles: 50 chunks of 4; 333: 55 chunks of 6 and a last one of 3.
+    for (std::size_t cycles : {200u, 333u}) {
+      const TestSequence stim = random_stimulus(nl, cycles, rng);
+      const StrobeRun run = simulate_strobes(lv, stim, observe);
+      EXPECT_EQ(run.expected, serial_strobes(lv, stim, observe))
+          << nl.name() << " over " << cycles << " cycles";
+      EXPECT_LE(run.rounds, run.chunks) << nl.name();
+    }
+  }
+}
+
+TEST(TestExport, ChainProgramsEqualSerialOnGeneratorCircuits) {
+  for (std::uint64_t seed : {90u, 91u, 92u, 93u, 94u, 95u}) {
+    World w(seed);
+    std::mt19937_64 rng(seed);
+    const ScanSequenceBuilder sb(w.nl, w.design);
+    // The chain program's shape: the flush, step-2 scan-load/observe
+    // vectors, then functional sequences with random inputs.
+    TestSequence stim = w.stimulus();
+    for (int v = 0; v < 5; ++v) {
+      std::vector<Val> ff(w.nl.dffs().size());
+      for (Val& x : ff) x = rand_3val(rng, 2);
+      std::vector<Val> pis(w.nl.inputs().size());
+      for (Val& x : pis) x = rand_3val(rng, 1);
+      const TestSequence seq =
+          sb.apply_comb_vector(ff, pis, w.model.max_chain_length() + 2);
+      stim.insert(stim.end(), seq.begin(), seq.end());
+    }
+    const TestSequence tail = random_stimulus(w.nl, 77, rng);
+    stim.insert(stim.end(), tail.begin(), tail.end());
+    const TestProgram p = make_test_program(w.model, stim);
+    EXPECT_EQ(write_test_program_string(p), serial_program_text(w.lv, p))
+        << "seed " << seed;
+  }
+}
+
+TEST(TestExport, StrobeEdgeCases) {
+  World w(96);
+  const std::vector<NodeId> observe = outputs_and_state(w.nl);
+  std::mt19937_64 rng(96);
+  struct Case {
+    std::size_t cycles;
+    std::size_t chunks;
+    unsigned x_in_8;
+  };
+  // Empty, one cycle, fewer cycles than lanes, exactly one cycle per lane,
+  // not a multiple of 64, and X-heavy stimulus.
+  for (const Case c : {Case{0, 0, 1}, Case{1, 1, 1}, Case{17, 17, 1},
+                       Case{64, 64, 1}, Case{65, 33, 1}, Case{1000, 63, 1},
+                       Case{130, 44, 6}}) {
+    const TestSequence stim = random_stimulus(w.nl, c.cycles, rng, c.x_in_8);
+    const StrobeRun run = simulate_strobes(w.lv, stim, observe);
+    EXPECT_EQ(run.chunks, c.chunks) << c.cycles;
+    EXPECT_EQ(run.rounds == 0, c.cycles == 0) << c.cycles;
+    EXPECT_LE(run.rounds, run.chunks) << c.cycles;
+    EXPECT_EQ(run.expected, serial_strobes(w.lv, stim, observe)) << c.cycles;
+  }
+  const TestSequence bad(3, std::vector<Val>(w.nl.inputs().size() + 1));
+  EXPECT_THROW(simulate_strobes(w.lv, bad, observe), std::invalid_argument);
+}
+
+TEST(TestExport, StateThatNeverWashesOutTakesOneRoundPerChunk) {
+  // q toggles forever once `rst_n` has cleared it: no chunk can know its
+  // start state before its predecessor is exact, so the relaxation needs
+  // every round it is allowed.  No scan chain touches q.
+  Netlist nl("toggle");
+  const NodeId rst_n = nl.add_input("rst_n");
+  const NodeId a = nl.add_input("a");
+  const NodeId q = nl.add_dff_floating("q");
+  const NodeId nq = nl.add_gate(GateType::Not, {q}, "nq");
+  nl.set_fanin(q, 0, nl.add_gate(GateType::And, {nq, rst_n}, "d"));
+  nl.mark_output(q);
+  nl.mark_output(nl.add_gate(GateType::Xor, {a, q}, "y"));
+  const Levelizer lv(nl);
+  std::mt19937_64 rng(7);
+  for (std::size_t cycles : {323u, 1000u}) {
+    TestSequence stim = random_stimulus(nl, cycles, rng, 2);
+    for (auto& row : stim) row[0] = Val::One;
+    stim[0][0] = Val::Zero;
+    const StrobeRun run = simulate_strobes(lv, stim, nl.outputs());
+    EXPECT_EQ(run.rounds, run.chunks) << cycles;
+    EXPECT_EQ(run.expected, serial_strobes(lv, stim, nl.outputs())) << cycles;
+    EXPECT_EQ(run.expected.back()[0],
+              (cycles - 2) % 2 ? Val::One : Val::Zero);
+  }
 }
 
 }  // namespace

@@ -126,6 +126,18 @@ cycles 12abc
 EOF
 expect_fail 2 "line 5: invalid cycle count '12abc'" -- replay "$TMP/badprog.fsct" "$TMP/good.bench"
 
+# A repeated input name would bind two columns to one net and hold the other
+# input at X for the whole replay.
+cat > "$TMP/dupprog.fsct" <<'EOF'
+FSCT-TEST 1
+circuit c
+inputs a a
+observe g
+cycles 1
+v 11 | X
+EOF
+expect_fail 2 "line 3: duplicate inputs name 'a'" -- replay "$TMP/dupprog.fsct" "$TMP/good.bench"
+
 # --- bench subcommand -------------------------------------------------------
 expect_fail 2 "invalid label"            -- bench run s1488 --label "bad label"
 expect_fail 2 "invalid label"            -- bench run s1488 --label "a/b"

@@ -239,9 +239,10 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
   # must be provably clean at every width.
   cmake -B build-ubsan -S . -DFSCT_SANITIZE=undefined "$@"
   cmake --build build-ubsan -j \
-    --target soa_sim_test seq_fault_sim_test pair_sim_test podem_test
+    --target soa_sim_test seq_fault_sim_test pair_sim_test podem_test \
+    test_export_test
   UBSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-ubsan \
-    --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.'
+    --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.|TestExport\.'
   echo "check.sh: UBSan clean over the SoA/wide kernels"
 fi
 echo "check.sh: OK (plain tests $( [[ $TSAN_ONLY == 1 ]] && echo skipped || echo passed ), TSan clean)"

@@ -435,6 +435,46 @@ int cmd_test(const Args& a) {
     return 3;
   }
 
+  std::printf("jobs: %u | classify %.3fs | step 2 %.3fs | step 3 %.3fs\n",
+              r.jobs_used, r.classify_seconds, r.s2_seconds, r.s3_seconds);
+  std::printf("%zu faults | affecting %zu (%.1f%%) | easy %zu (verified %zu) "
+              "| hard %zu\n",
+              r.total_faults, r.affecting(),
+              100.0 * static_cast<double>(r.affecting()) /
+                  static_cast<double>(r.total_faults ? r.total_faults : 1),
+              r.easy, r.easy_verified, r.hard);
+  if (!a.no_dominance) {
+    std::printf("dominance: %zu targets, %zu flush-credited, "
+                "%zu ledger-dropped\n",
+                r.dominance_targets, r.flush_detected, r.ledger_dropped);
+  }
+  std::printf("step 2: %zu detected with %zu vectors, %zu undetectable\n",
+              r.s2_detected, r.s2_vectors, r.s2_undetectable);
+  std::printf("step 3: %zu detected, %zu undetectable, %zu undetected "
+              "(%zu+%zu circuit models)\n",
+              r.s3_detected, r.s3_undetectable, r.s3_undetected,
+              r.s3_circuits_group, r.s3_circuits_final);
+
+  // Export runs before the trace, report and profile are written so that
+  // they account for it.
+  if (!a.out.empty()) {
+    TestProgram p;
+    {
+      const ObsSpan span(opt.obs, "export.build");
+      p = make_chain_test_program(model, r);
+    }
+    {
+      const ObsSpan span(opt.obs, "export.write");
+      std::ofstream os(a.out);
+      write_test_program(os, p);
+      // The program runs on the *scanned* device: ship that netlist alongside.
+      std::ofstream bos(a.out + ".bench");
+      write_bench(bos, nl);
+    }
+    std::printf("wrote %s (%zu cycles) and %s.bench\n", a.out.c_str(),
+                p.stimulus.size(), a.out.c_str());
+  }
+
   if (!a.trace_path.empty()) {
     std::ofstream ts(a.trace_path);
     if (!ts) throw std::runtime_error("cannot open " + a.trace_path);
@@ -473,37 +513,6 @@ int cmd_test(const Args& a) {
       std::printf("wrote folded stacks %s (%zu phase nodes)\n",
                   a.folded_path.c_str(), doc.phases.size());
     }
-  }
-
-  std::printf("jobs: %u | classify %.3fs | step 2 %.3fs | step 3 %.3fs\n",
-              r.jobs_used, r.classify_seconds, r.s2_seconds, r.s3_seconds);
-  std::printf("%zu faults | affecting %zu (%.1f%%) | easy %zu (verified %zu) "
-              "| hard %zu\n",
-              r.total_faults, r.affecting(),
-              100.0 * static_cast<double>(r.affecting()) /
-                  static_cast<double>(r.total_faults ? r.total_faults : 1),
-              r.easy, r.easy_verified, r.hard);
-  if (!a.no_dominance) {
-    std::printf("dominance: %zu targets, %zu flush-credited, "
-                "%zu ledger-dropped\n",
-                r.dominance_targets, r.flush_detected, r.ledger_dropped);
-  }
-  std::printf("step 2: %zu detected with %zu vectors, %zu undetectable\n",
-              r.s2_detected, r.s2_vectors, r.s2_undetectable);
-  std::printf("step 3: %zu detected, %zu undetectable, %zu undetected "
-              "(%zu+%zu circuit models)\n",
-              r.s3_detected, r.s3_undetectable, r.s3_undetected,
-              r.s3_circuits_group, r.s3_circuits_final);
-
-  if (!a.out.empty()) {
-    const TestProgram p = make_chain_test_program(model, r);
-    std::ofstream os(a.out);
-    write_test_program(os, p);
-    // The program runs on the *scanned* device: ship that netlist alongside.
-    std::ofstream bos(a.out + ".bench");
-    write_bench(bos, nl);
-    std::printf("wrote %s (%zu cycles) and %s.bench\n", a.out.c_str(),
-                p.stimulus.size(), a.out.c_str());
   }
   return r.s3_undetected == 0 ? 0 : 1;
 }
