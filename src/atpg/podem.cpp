@@ -21,9 +21,11 @@ Podem::Podem(const Levelizer& lv, std::vector<char> controllable,
       opt_(opt),
       sim_(lv) {
   const Netlist& nl = lv_.netlist();
-  observed_.assign(nl.size(), 0);
-  for (NodeId o : observe_) observed_[o] = 1;
-  sim_.set_observed(observed_);
+  {
+    std::vector<char> observed(nl.size(), 0);
+    for (NodeId o : observe_) observed[o] = 1;
+    sim_.set_observed(observed);
+  }
 
   // Static distance (in gates) from each net to the nearest observation,
   // computed over reversed topological order.
@@ -38,8 +40,31 @@ Podem::Podem(const Levelizer& lv, std::vector<char> controllable,
       }
     }
   }
-  xpath_mark_.assign(nl.size(), 0);
-  frontier_mark_.assign(nl.size(), 0);
+  mark_.assign(nl.size(), 0);
+
+  // Backtrace passes an objective through a buffer, an inverter or a MUX
+  // whose select is tied to a constant without reading any value that can
+  // change (a constant's good value is fixed), so each net maps straight to
+  // the end of such a chain.  Fanins come first in topological order.
+  through_.resize(nl.size());
+  for (NodeId id = 0; id < nl.size(); ++id) through_[id] = id;
+  for (NodeId id : topo) {
+    const auto fins = nl.fanins(id);
+    switch (nl.type(id)) {
+      case GateType::Buf: through_[id] = through_[fins[0]]; break;
+      case GateType::Not: through_[id] = through_[fins[0]] ^ kInvert; break;
+      case GateType::Mux: {
+        const NodeId sel = through_[fins[0]];
+        const GateType st = nl.type(sel & ~kInvert);
+        if (st == GateType::Const0 || st == GateType::Const1) {
+          const bool one = (st == GateType::Const1) != ((sel & kInvert) != 0);
+          through_[id] = through_[fins[one ? 2 : 1]];
+        }
+        break;
+      }
+      default: break;
+    }
+  }
 }
 
 bool Podem::detected() const { return sim_.any_observed_effect(); }
@@ -58,18 +83,16 @@ void Podem::side_input_objectives(NodeId gate,
     case GateType::Nor: {
       const Val nc = !controlling_value(t);
       for (NodeId in : fins) {
-        if (sim_.value(in).g == Val::X && !has_effect(sim_.value(in))) {
-          out.push_back({in, nc});
-        }
+        if (rail::good_x(sim_.bits(in))) out.push_back({in, nc});
       }
       break;
     }
     case GateType::Xor:
     case GateType::Xnor: {
       for (NodeId in : fins) {
-        if (sim_.value(in).g == Val::X && !has_effect(sim_.value(in))) {
+        if (rail::good_x(sim_.bits(in))) {
           const Val v =
-              (scoap_.cc0[in] <= scoap_.cc1[in]) ? Val::Zero : Val::One;
+              (scoap_.cc0(in) <= scoap_.cc1(in)) ? Val::Zero : Val::One;
           out.push_back({in, v});
         }
       }
@@ -77,19 +100,21 @@ void Podem::side_input_objectives(NodeId gate,
     }
     case GateType::Mux: {
       const NodeId sel = fins[0], d0 = fins[1], d1 = fins[2];
-      if (has_effect(sim_.value(d0)) && sim_.value(sel).g == Val::X) {
+      const bool sel_x = rail::good_x(sim_.bits(sel));
+      if (rail::effect(sim_.bits(d0)) && sel_x) {
         out.push_back({sel, Val::Zero});
       }
-      if (has_effect(sim_.value(d1)) && sim_.value(sel).g == Val::X) {
+      if (rail::effect(sim_.bits(d1)) && sel_x) {
         out.push_back({sel, Val::One});
       }
-      if (has_effect(sim_.value(sel))) {
+      if (rail::effect(sim_.bits(sel))) {
         // Need d0 != d1; aim for d0=0, d1=1 (or follow what's already set).
-        const PairVal v0 = sim_.value(d0), v1 = sim_.value(d1);
-        if (v0.g == Val::X) {
-          out.push_back({d0, v1.g == Val::X ? Val::Zero : !v1.g});
-        } else if (v1.g == Val::X) {
-          out.push_back({d1, !v0.g});
+        const Val v0 = rail::good(sim_.bits(d0));
+        const Val v1 = rail::good(sim_.bits(d1));
+        if (v0 == Val::X) {
+          out.push_back({d0, v1 == Val::X ? Val::Zero : !v1});
+        } else if (v1 == Val::X) {
+          out.push_back({d1, !v0});
         }
       }
       break;
@@ -111,7 +136,7 @@ void Podem::find_objectives(std::span<const FaultSite> sites,
                               : nl.fanins(s.node)[static_cast<std::size_t>(
                                     s.pin)];
       const Val need = !s.value;
-      const Val cur = sim_.value(anet).g;
+      const Val cur = rail::good(sim_.bits(anet));
       if (cur == Val::X) {
         out.push_back({anet, need});
       } else if (cur == need && s.pin >= 0) {
@@ -127,21 +152,21 @@ void Podem::find_objectives(std::span<const FaultSite> sites,
   // Propagation phase: build the D-frontier from nets carrying effects.
   // First-occurrence order (mark-array dedupe == the old linear-find dedupe).
   const SoaCircuit& soa = sim_.soa();
-  std::vector<NodeId> frontier;
+  std::vector<NodeId>& frontier = frontier_;
+  frontier.clear();
   for (NodeId net : sim_.effect_nets()) {
     const NodeId* fo = soa.fanout(net);
     const std::uint32_t nfo = soa.fanout_count(net);
     for (std::uint32_t i = 0; i < nfo; ++i) {
       const NodeId g = fo[i];
-      if (frontier_mark_[g]) continue;
-      const PairVal gv = sim_.value(g);
-      if (has_effect(gv)) continue;
-      if (gv.g != Val::X && gv.f != Val::X) continue;  // blocked binary
-      frontier_mark_[g] = 1;
+      if (mark_[g] & kFrontierMark) continue;
+      // An effect or a binary pair (blocked) is not on the D-frontier.
+      if (rail::binary(sim_.bits(g))) continue;
+      mark_[g] |= kFrontierMark;
       frontier.push_back(g);
     }
   }
-  for (NodeId g : frontier) frontier_mark_[g] = 0;
+  for (NodeId g : frontier) mark_[g] &= ~kFrontierMark;
   // Closest-to-observation first; keep only gates with a live X-path and
   // bound the per-round work on very wide cones.
   std::sort(frontier.begin(), frontier.end(), [&](NodeId a, NodeId b) {
@@ -150,8 +175,9 @@ void Podem::find_objectives(std::span<const FaultSite> sites,
   if (frontier.size() > static_cast<std::size_t>(opt_.frontier_cap)) {
     frontier.resize(static_cast<std::size_t>(opt_.frontier_cap));
   }
-  std::erase_if(frontier, [&](NodeId g) { return !x_path_exists(g); });
-  for (NodeId g : frontier) side_input_objectives(g, out);
+  for (NodeId g : frontier) {
+    if (x_path_exists(g)) side_input_objectives(g, out);
+  }
 }
 
 bool Podem::x_path_exists(NodeId from) {
@@ -161,9 +187,11 @@ bool Podem::x_path_exists(NodeId from) {
   // than an occasional wasted objective, so past the cap we optimistically
   // report "path exists".
   constexpr std::size_t kVisitCap = 600;
-  std::vector<NodeId> stack{from};
-  std::vector<NodeId> visited{from};
-  xpath_mark_[from] = 1;
+  std::vector<NodeId>& stack = xpath_stack_;
+  std::vector<NodeId>& visited = xpath_visited_;
+  stack.assign(1, from);
+  visited.assign(1, from);
+  mark_[from] |= kXpathMark;
   bool found = false;
   while (!stack.empty() && !found) {
     if (visited.size() > kVisitCap) {
@@ -172,10 +200,9 @@ bool Podem::x_path_exists(NodeId from) {
     }
     const NodeId id = stack.back();
     stack.pop_back();
-    const PairVal v = sim_.value(id);
-    const bool passable = (v.g == Val::X || v.f == Val::X);
+    const bool passable = !rail::binary(sim_.bits(id));
     if (!passable && id != from) continue;
-    if (observed_[id] && (passable || id == from)) {
+    if (sim_.observed(id)) {
       found = true;
       break;
     }
@@ -183,13 +210,13 @@ bool Podem::x_path_exists(NodeId from) {
     const std::uint32_t nfo = soa.fanout_count(id);
     for (std::uint32_t i = 0; i < nfo; ++i) {
       const NodeId s = fo[i];
-      if (xpath_mark_[s] || obs_dist_[s] >= kInfDist) continue;
-      xpath_mark_[s] = 1;
+      if ((mark_[s] & kXpathMark) || obs_dist_[s] >= kInfDist) continue;
+      mark_[s] |= kXpathMark;
       visited.push_back(s);
       stack.push_back(s);
     }
   }
-  for (NodeId id : visited) xpath_mark_[id] = 0;
+  for (NodeId id : visited) mark_[id] &= ~kXpathMark;
   return found;
 }
 
@@ -199,10 +226,13 @@ bool Podem::backtrace(Objective obj, NodeId& pi, Val& pv) const {
   Val val = obj.val;
   // The walk strictly descends in level, so it terminates.
   for (;;) {
+    const NodeId th = through_[net];
+    net = th & ~kInvert;
+    if (th & kInvert) val = !val;
     const GateType t = soa.type(net);
     if (t == GateType::Input || t == GateType::Dff) {
       if (t == GateType::Input && controllable_[net] &&
-          sim_.value(net).g == Val::X) {
+          rail::good_x(sim_.bits(net))) {
         pi = net;
         pv = val;
         return true;
@@ -211,15 +241,6 @@ bool Podem::backtrace(Objective obj, NodeId& pi, Val& pv) const {
     }
     if (t == GateType::Const0 || t == GateType::Const1) return false;
     const std::span<const NodeId> fins(soa.fanin(net), soa.fanin_count(net));
-    if (t == GateType::Buf) {
-      net = fins[0];
-      continue;
-    }
-    if (t == GateType::Not) {
-      net = fins[0];
-      val = !val;
-      continue;
-    }
     if (t == GateType::And || t == GateType::Nand || t == GateType::Or ||
         t == GateType::Nor) {
       const Val c = controlling_value(t);
@@ -228,10 +249,11 @@ bool Podem::backtrace(Objective obj, NodeId& pi, Val& pv) const {
       Cost best_cost = 0;
       if (inner == c) {
         // Any single input at the controlling value suffices: easiest first.
+        const bool one = (c == Val::One);
         best_cost = kInfCost + 1;
         for (NodeId in : fins) {
-          if (sim_.value(in).g != Val::X) continue;
-          const Cost cc = scoap_.cc(in, c == Val::One);
+          if (!rail::good_x(sim_.bits(in))) continue;
+          const Cost cc = scoap_.cc(in, one);
           if (cc < best_cost) {
             best_cost = cc;
             best = in;
@@ -240,9 +262,10 @@ bool Podem::backtrace(Objective obj, NodeId& pi, Val& pv) const {
         val = c;
       } else {
         // All inputs must be non-controlling: hardest X input first.
+        const bool one = (c == Val::Zero);
         for (NodeId in : fins) {
-          if (sim_.value(in).g != Val::X) continue;
-          const Cost cc = scoap_.cc(in, c == Val::Zero);
+          if (!rail::good_x(sim_.bits(in))) continue;
+          const Cost cc = scoap_.cc(in, one);
           if (best == kNullNode || cc > best_cost) {
             best_cost = cc;
             best = in;
@@ -263,7 +286,7 @@ bool Podem::backtrace(Objective obj, NodeId& pi, Val& pv) const {
       int unknowns = 0;
       bool known_par = false;
       for (NodeId in : fins) {
-        const Val v = sim_.value(in).g;
+        const Val v = rail::good(sim_.bits(in));
         if (v == Val::X) {
           ++unknowns;
           if (chosen == kNullNode) chosen = in;
@@ -276,7 +299,7 @@ bool Podem::backtrace(Objective obj, NodeId& pi, Val& pv) const {
       if (unknowns == 1) {
         target = (parity != known_par) ? Val::One : Val::Zero;
       } else {
-        target = (scoap_.cc0[chosen] <= scoap_.cc1[chosen]) ? Val::Zero
+        target = (scoap_.cc0(chosen) <= scoap_.cc1(chosen)) ? Val::Zero
                                                             : Val::One;
       }
       net = chosen;
@@ -285,7 +308,7 @@ bool Podem::backtrace(Objective obj, NodeId& pi, Val& pv) const {
     }
     if (t == GateType::Mux) {
       const NodeId sel = fins[0], d0 = fins[1], d1 = fins[2];
-      const Val sv = sim_.value(sel).g;
+      const Val sv = rail::good(sim_.bits(sel));
       if (sv == Val::Zero) {
         net = d0;
         continue;
@@ -364,6 +387,7 @@ AtpgResult Podem::generate_impl(std::span<const FaultSite> sites) {
     NodeId pi;
     Val val;
     bool flipped;
+    std::size_t mark;  // PairSim trail position before the assignment
   };
   std::vector<Decision> stack;
   AtpgResult res;
@@ -384,8 +408,8 @@ AtpgResult Podem::generate_impl(std::span<const FaultSite> sites) {
     if (detected()) {
       res.status = AtpgStatus::Detected;
       for (NodeId id = 0; id < nl.size(); ++id) {
-        if (controllable_[id] && sim_.value(id).g != Val::X) {
-          res.assignment.emplace_back(id, sim_.value(id).g);
+        if (controllable_[id] && !rail::good_x(sim_.bits(id))) {
+          res.assignment.emplace_back(id, rail::good(sim_.bits(id)));
         }
       }
       return res;
@@ -403,15 +427,19 @@ AtpgResult Podem::generate_impl(std::span<const FaultSite> sites) {
     }
 
     if (ok) {
-      stack.push_back({pi, pv, false});
+      stack.push_back({pi, pv, false, sim_.trail_mark()});
       sim_.set_source(pi, pv);
       ++res.decisions;
     } else {
       // Backtrack: unwind fully-tried decisions, flip the last open one.
+      // Their trail segments are contiguous, so one unwind to the oldest
+      // popped decision's mark undoes them all.
+      std::size_t mark = sim_.trail_mark();
       while (!stack.empty() && stack.back().flipped) {
-        sim_.set_source(stack.back().pi, Val::X);
+        mark = stack.back().mark;
         stack.pop_back();
       }
+      sim_.unwind_to(mark);
       if (stack.empty()) {
         res.status = AtpgStatus::Untestable;
         return res;

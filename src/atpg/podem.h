@@ -5,7 +5,9 @@
 // Decisions are made only at controllable Input nodes; implication is full
 // event-driven forward simulation (PairSim), so the search is the classic
 // PODEM decision tree over primary-input assignments with backtrace guided by
-// SCOAP controllability and a static distance-to-observation measure.
+// SCOAP controllability and a static distance-to-observation measure.  A
+// fully tried decision is undone by unwinding PairSim's trail to the mark
+// taken when it was made (DESIGN.md §5l).
 #pragma once
 
 #include <span>
@@ -75,6 +77,13 @@ class Podem {
     Val val = Val::X;
   };
 
+  // Scratch mark bits (mark_).
+  static constexpr std::uint8_t kXpathMark = 1;
+  static constexpr std::uint8_t kFrontierMark = 2;  // D-frontier dedupe
+  // through_ entries: the chain-end net, with this bit set when the chain
+  // inverts.
+  static constexpr NodeId kInvert = NodeId{1} << 31;
+
   AtpgResult generate_impl(std::span<const FaultSite> sites);
   bool detected() const;
   void find_objectives(std::span<const FaultSite> sites,
@@ -86,13 +95,16 @@ class Podem {
   const Levelizer& lv_;
   std::vector<char> controllable_;
   std::vector<NodeId> observe_;
-  std::vector<char> observed_;
   std::vector<int> obs_dist_;  // static gate-distance to nearest observation
   Scoap scoap_;
   AtpgOptions opt_;
   PairSim sim_;
-  std::vector<char> xpath_mark_;     // scratch
-  std::vector<char> frontier_mark_;  // scratch: D-frontier dedupe
+  std::vector<NodeId> through_;  // static pass-through chain end, see kInvert
+  std::vector<std::uint8_t> mark_;
+  // Per-call scratch, kept to avoid an allocation per objective round.
+  std::vector<NodeId> frontier_;
+  std::vector<NodeId> xpath_stack_;
+  std::vector<NodeId> xpath_visited_;
 };
 
 }  // namespace fsct

@@ -16,12 +16,15 @@ namespace fsct {
 using Cost = std::uint32_t;
 inline constexpr Cost kInfCost = 0x3fffffff;
 
-/// Combinational controllability of every net.
+/// Combinational controllability of every net, cc0 and cc1 interleaved so
+/// that PODEM's backtrace reads both costs of a net from one cache line.
 struct Scoap {
-  std::vector<Cost> cc0;  ///< cost of setting the net to 0
-  std::vector<Cost> cc1;  ///< cost of setting the net to 1
+  /// cc01[2n] is the cost of setting net n to 0, cc01[2n + 1] to 1.
+  std::vector<Cost> cc01;
 
-  Cost cc(NodeId n, bool one) const { return one ? cc1[n] : cc0[n]; }
+  Cost cc0(NodeId n) const { return cc01[2 * std::size_t{n}]; }
+  Cost cc1(NodeId n) const { return cc01[2 * std::size_t{n} + 1]; }
+  Cost cc(NodeId n, bool one) const { return cc01[2 * std::size_t{n} + one]; }
 };
 
 /// Computes CC0/CC1.  `controllable` flags the source nodes (PIs / pseudo-PIs)

@@ -35,10 +35,9 @@ std::uint64_t CombFaultSim::simulate_fault(const Fault& f,
   const Netlist& nl = lv_.netlist();
   std::uint64_t det = 0;
 
-  PackedVal ins[64];
+  PackedVal ins[kMaxFanin];
   auto eval_cur = [&](NodeId id, const Fault* pin_fault) {
     const auto fins = nl.fanins(id);
-    if (fins.size() > 64) throw std::runtime_error("gate arity > 64");
     for (std::size_t p = 0; p < fins.size(); ++p) {
       ins[p] = s.cur[fins[p]];
       if (pin_fault && pin_fault->node == id &&

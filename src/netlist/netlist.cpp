@@ -44,7 +44,7 @@ void arity_range(GateType t, std::size_t& lo, std::size_t& hi) {
       break;
     default:
       lo = 1;
-      hi = static_cast<std::size_t>(-1);
+      hi = kMaxFanin;
       break;
   }
 }

@@ -31,6 +31,10 @@ using NodeId = std::uint32_t;
 /// Sentinel "no node".
 inline constexpr NodeId kNullNode = static_cast<NodeId>(-1);
 
+/// Largest fanin count of a variadic gate (AND/NAND/OR/NOR/XOR/XNOR).  The
+/// simulators gather a gate's fanin values into fixed buffers of this size.
+inline constexpr std::size_t kMaxFanin = 64;
+
 /// Gate/node types.  The combinational set matches what ISCAS'89 .bench files
 /// and a NAND/NOR/NOT technology mapping produce; Mux exists for conventional
 /// MUX-scan insertion (fanins: sel, d0, d1 -> out = sel ? d1 : d0).
@@ -40,12 +44,12 @@ enum class GateType : std::uint8_t {
   Const1,  ///< constant 1 generator, no fanins
   Buf,     ///< 1 fanin
   Not,     ///< 1 fanin
-  And,     ///< >=1 fanins
-  Nand,    ///< >=1 fanins
-  Or,      ///< >=1 fanins
-  Nor,     ///< >=1 fanins
-  Xor,     ///< >=1 fanins
-  Xnor,    ///< >=1 fanins
+  And,     ///< 1..kMaxFanin fanins
+  Nand,    ///< 1..kMaxFanin fanins
+  Or,      ///< 1..kMaxFanin fanins
+  Nor,     ///< 1..kMaxFanin fanins
+  Xor,     ///< 1..kMaxFanin fanins
+  Xnor,    ///< 1..kMaxFanin fanins
   Mux,     ///< exactly 3 fanins: sel, d0, d1
   Dff,     ///< 1 fanin (D); node output is Q
 };

@@ -44,7 +44,7 @@ void CombSim::run(std::vector<Val>& values,
       values[i.node] = i.value;
     }
   }
-  Val ins[64];
+  Val ins[kMaxFanin];
   for (NodeId id : lv_.topo_order()) {
     const auto fins = nl.fanins(id);
     for (std::size_t p = 0; p < fins.size(); ++p) {
@@ -85,7 +85,7 @@ void PackedCombSim::run(std::vector<PackedVal>& values,
     }
   }
   for (const PackedInjection& i : inj) injected_[i.node] = 1;
-  PackedVal ins[64];
+  PackedVal ins[kMaxFanin];
   for (NodeId id : lv_.topo_order()) {
     const auto fins = nl.fanins(id);
     const bool hit = injected_[id] != 0;

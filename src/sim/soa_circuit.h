@@ -342,7 +342,7 @@ class WideSim {
             if (injected_[id]) { eval_injected(id, inj); continue; }
             const NodeId* f = c.fanin(id);
             const std::uint32_t n = c.fanin_count(id);
-            WideVal<NW> ins[64];
+            WideVal<NW> ins[kMaxFanin];
             for (std::uint32_t k = 0; k < n; ++k) ins[k] = values_[f[k]];
             values_[id] = eval_gate_wide<NW>(r.type, ins, n);
           }
@@ -368,7 +368,7 @@ class WideSim {
     const SoaCircuit& c = *c_;
     const NodeId* f = c.fanin(id);
     const std::uint32_t n = c.fanin_count(id);
-    WideVal<NW> ins[64];
+    WideVal<NW> ins[kMaxFanin];
     for (std::uint32_t k = 0; k < n; ++k) ins[k] = values_[f[k]];
     for (const WideInjection<NW>& i : inj) {
       if (i.node == id && i.pin >= 0) i.force(ins[i.pin]);

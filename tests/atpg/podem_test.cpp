@@ -136,6 +136,31 @@ TEST(Podem, MuxPropagation) {
   EXPECT_TRUE(test_detects(bb.lv, {y}, site, r));
 }
 
+// A MUX whose select is tied to a constant (directly or through an inverter)
+// passes objectives straight to the selected data input; the other input
+// is never assigned.
+TEST(Podem, BacktraceFollowsConstantSelectMux) {
+  Netlist nl("t");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId c = nl.add_input("c");
+  const NodeId one = nl.add_const(true, "one");
+  const NodeId zero = nl.add_gate(GateType::Not, {one}, "zero");
+  const NodeId m1 = nl.add_gate(GateType::Mux, {one, a, b}, "m1");  // = b
+  const NodeId m2 = nl.add_gate(GateType::Mux, {zero, m1, a}, "m2");  // = b
+  const NodeId y = nl.add_gate(GateType::And, {m2, c}, "y");
+  nl.mark_output(y);
+  Built bb(std::move(nl), {y});
+  const FaultSite site{y, -1, k0};
+  const AtpgResult r = bb.podem.generate(std::span(&site, 1));
+  ASSERT_EQ(r.status, AtpgStatus::Detected);
+  EXPECT_TRUE(test_detects(bb.lv, {y}, site, r));
+  const std::vector<std::pair<NodeId, Val>> want = {{b, k1}, {c, k1}};
+  EXPECT_EQ(r.assignment, want);
+  EXPECT_EQ(r.decisions, 2);
+  EXPECT_EQ(r.backtracks, 0);
+}
+
 TEST(Podem, UnobservableFaultUntestable) {
   // Gate with no path to any observation point.
   Netlist nl("t");

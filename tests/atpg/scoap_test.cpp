@@ -23,16 +23,16 @@ TEST(Scoap, PrimaryInputsCostOne) {
   Netlist nl("t");
   nl.add_input("a");
   Built b(std::move(nl), {1});
-  EXPECT_EQ(b.s.cc0[0], 1u);
-  EXPECT_EQ(b.s.cc1[0], 1u);
+  EXPECT_EQ(b.s.cc0(0), 1u);
+  EXPECT_EQ(b.s.cc1(0), 1u);
 }
 
 TEST(Scoap, UncontrollableInputIsInfinite) {
   Netlist nl("t");
   nl.add_input("a");
   Built b(std::move(nl), {0});
-  EXPECT_EQ(b.s.cc0[0], kInfCost);
-  EXPECT_EQ(b.s.cc1[0], kInfCost);
+  EXPECT_EQ(b.s.cc0(0), kInfCost);
+  EXPECT_EQ(b.s.cc1(0), kInfCost);
 }
 
 TEST(Scoap, ConstantsFreeForOwnValueOnly) {
@@ -41,10 +41,10 @@ TEST(Scoap, ConstantsFreeForOwnValueOnly) {
   const NodeId c1 = nl.add_const(true, "c1");
   nl.add_input("a");  // keep levelizer happy about sizes
   Built b(std::move(nl), {0, 0, 1});
-  EXPECT_EQ(b.s.cc0[c0], 0u);
-  EXPECT_EQ(b.s.cc1[c0], kInfCost);
-  EXPECT_EQ(b.s.cc1[c1], 0u);
-  EXPECT_EQ(b.s.cc0[c1], kInfCost);
+  EXPECT_EQ(b.s.cc0(c0), 0u);
+  EXPECT_EQ(b.s.cc1(c0), kInfCost);
+  EXPECT_EQ(b.s.cc1(c1), 0u);
+  EXPECT_EQ(b.s.cc0(c1), kInfCost);
 }
 
 TEST(Scoap, AndGateRules) {
@@ -56,8 +56,8 @@ TEST(Scoap, AndGateRules) {
   Built b(std::move(nl), std::move(ctrl));
   (void)a;
   // cc1 = cc1(a)+cc1(b)+1 = 3; cc0 = min(cc0)+1 = 2.
-  EXPECT_EQ(b.s.cc1[g], 3u);
-  EXPECT_EQ(b.s.cc0[g], 2u);
+  EXPECT_EQ(b.s.cc1(g), 3u);
+  EXPECT_EQ(b.s.cc0(g), 2u);
 }
 
 TEST(Scoap, NandInvertsCosts) {
@@ -67,8 +67,8 @@ TEST(Scoap, NandInvertsCosts) {
   const NodeId g = nl.add_gate(GateType::Nand, {a, b_}, "g");
   auto ctrl = all_controllable(nl);
   Built b(std::move(nl), std::move(ctrl));
-  EXPECT_EQ(b.s.cc0[g], 3u);
-  EXPECT_EQ(b.s.cc1[g], 2u);
+  EXPECT_EQ(b.s.cc0(g), 3u);
+  EXPECT_EQ(b.s.cc1(g), 2u);
 }
 
 TEST(Scoap, NotSwapsCosts) {
@@ -78,9 +78,9 @@ TEST(Scoap, NotSwapsCosts) {
   const NodeId g = nl.add_gate(GateType::And, {n, n}, "g");
   auto ctrl = all_controllable(nl);
   Built b(std::move(nl), std::move(ctrl));
-  EXPECT_EQ(b.s.cc0[n], 2u);
-  EXPECT_EQ(b.s.cc1[n], 2u);
-  EXPECT_GT(b.s.cc1[g], b.s.cc1[n]);
+  EXPECT_EQ(b.s.cc0(n), 2u);
+  EXPECT_EQ(b.s.cc1(n), 2u);
+  EXPECT_GT(b.s.cc1(g), b.s.cc1(n));
 }
 
 TEST(Scoap, XorParityCosts) {
@@ -91,8 +91,8 @@ TEST(Scoap, XorParityCosts) {
   auto ctrl = all_controllable(nl);
   Built b(std::move(nl), std::move(ctrl));
   // even parity (00 or 11): 2; odd: 2; plus gate cost 1.
-  EXPECT_EQ(b.s.cc0[g], 3u);
-  EXPECT_EQ(b.s.cc1[g], 3u);
+  EXPECT_EQ(b.s.cc0(g), 3u);
+  EXPECT_EQ(b.s.cc1(g), 3u);
 }
 
 TEST(Scoap, InfinitePropagatesThroughGates) {
@@ -101,8 +101,8 @@ TEST(Scoap, InfinitePropagatesThroughGates) {
   const NodeId u = nl.add_input("u");  // uncontrollable
   const NodeId g = nl.add_gate(GateType::And, {a, u}, "g");
   Built b(std::move(nl), {1, 0});
-  EXPECT_EQ(b.s.cc1[g], kInfCost);       // needs u=1: impossible
-  EXPECT_EQ(b.s.cc0[g], 2u);             // a=0 suffices
+  EXPECT_EQ(b.s.cc1(g), kInfCost);       // needs u=1: impossible
+  EXPECT_EQ(b.s.cc0(g), 2u);             // a=0 suffices
 }
 
 TEST(Scoap, UncontrollableDffQ) {
@@ -113,7 +113,7 @@ TEST(Scoap, UncontrollableDffQ) {
   std::vector<char> ctrl(nl.size(), 0);
   ctrl[a] = 1;
   Built b(std::move(nl), ctrl);
-  EXPECT_EQ(b.s.cc0[g], kInfCost);
+  EXPECT_EQ(b.s.cc0(g), kInfCost);
   // Controllable pseudo-PI state:
   Netlist nl2("t2");
   const NodeId a2 = nl2.add_input("a");
@@ -123,7 +123,7 @@ TEST(Scoap, UncontrollableDffQ) {
   ctrl2[a2] = 1;
   ctrl2[q2] = 1;
   Built b2(std::move(nl2), ctrl2);
-  EXPECT_EQ(b2.s.cc0[g2], 2u);
+  EXPECT_EQ(b2.s.cc0(g2), 2u);
 }
 
 TEST(Scoap, MuxCosts) {
@@ -135,8 +135,8 @@ TEST(Scoap, MuxCosts) {
   auto ctrl = all_controllable(nl);
   Built b(std::move(nl), std::move(ctrl));
   // cheapest: sel + data + 1 = 3.
-  EXPECT_EQ(b.s.cc0[m], 3u);
-  EXPECT_EQ(b.s.cc1[m], 3u);
+  EXPECT_EQ(b.s.cc0(m), 3u);
+  EXPECT_EQ(b.s.cc1(m), 3u);
 }
 
 }  // namespace

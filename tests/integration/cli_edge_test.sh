@@ -117,6 +117,19 @@ g = MUX(a)
 EOF
 expect_fail 2 "line 3: bad fanin count" -- stats "$TMP/badmux.bench"
 
+# Variadic gates take at most 64 inputs; a 70-input AND is refused at parse
+# time with its line number (it used to overrun the simulators' fanin buffers
+# and crash `fsct test`).
+{
+  for i in $(seq 0 69); do echo "INPUT(i$i)"; done
+  echo "OUTPUT(y)"
+  echo "q = DFF(y)"
+  printf 'y = AND(q'
+  for i in $(seq 0 69); do printf ', i%d' "$i"; done
+  echo ")"
+} > "$TMP/wide.bench"
+expect_fail 2 "line 73: bad fanin count for AND y" -- test "$TMP/wide.bench"
+
 cat > "$TMP/badprog.fsct" <<'EOF'
 FSCT-TEST 1
 circuit c

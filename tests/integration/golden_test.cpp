@@ -7,6 +7,7 @@
 
 #include "bench_circuits/paper_examples.h"
 #include "bench_circuits/suite.h"
+#include "core/obs.h"
 #include "core/pipeline.h"
 #include "fault/fault.h"
 #include "netlist/stats.h"
@@ -107,17 +108,24 @@ TEST(Golden, FaultCollapsingConformanceTable) {
   }
 }
 
-// End-to-end coverage pins for the fast suite circuits (wall < ~100 ms each;
-// the larger circuits are covered statistically by the bench harness).
+// End-to-end coverage pins for the fast suite circuits (s1488/s1494 wall
+// < ~100 ms each; s1423's step 3 is backtrace-bound, about 2 s).  The PODEM
+// counters pin the search itself: every objective, backtrace, decision and
+// flip must happen in the same order, so a kernel rewrite that changes one
+// decision moves them.  The larger circuits are covered statistically by the
+// bench harness.
 TEST(Golden, SuiteCoverageConformance) {
   struct Pin {
     const char* name;
     std::size_t easy, hard, dom_targets, flush, s2_det, s2_undetectable,
         s3_det, s3_undetected;
+    std::uint64_t podem_calls, podem_decisions, podem_backtracks,
+        podem_aborts;
   };
   const Pin kPins[] = {
-      {"s1488", 49, 42, 27, 21, 20, 1, 0, 0},
-      {"s1494", 40, 10, 8, 2, 1, 5, 2, 0},
+      {"s1488", 49, 42, 27, 21, 20, 1, 0, 0, 1, 0, 0, 0},
+      {"s1494", 40, 10, 8, 2, 1, 5, 2, 0, 8, 92, 69, 0},
+      {"s1423", 390, 235, 143, 119, 22, 80, 0, 1, 87, 41849, 41693, 7},
   };
   for (const Pin& p : kPins) {
     const SuiteEntry e = suite_entry(p.name);
@@ -133,6 +141,8 @@ TEST(Golden, SuiteCoverageConformance) {
     opt.comb_time_limit_ms = 0;
     opt.seq_time_limit_ms = 0;
     opt.final_time_limit_ms = 0;
+    ObsRegistry obs;
+    opt.obs = &obs;
     const PipelineResult r = run_fsct_pipeline(model, faults, opt);
     EXPECT_EQ(r.easy, p.easy) << p.name;
     EXPECT_EQ(r.easy_verified, p.easy) << p.name;
@@ -143,6 +153,10 @@ TEST(Golden, SuiteCoverageConformance) {
     EXPECT_EQ(r.s2_undetectable, p.s2_undetectable) << p.name;
     EXPECT_EQ(r.s3_detected, p.s3_det) << p.name;
     EXPECT_EQ(r.s3_undetected, p.s3_undetected) << p.name;
+    EXPECT_EQ(obs.total(Ctr::PodemCalls), p.podem_calls) << p.name;
+    EXPECT_EQ(obs.total(Ctr::PodemDecisions), p.podem_decisions) << p.name;
+    EXPECT_EQ(obs.total(Ctr::PodemBacktracks), p.podem_backtracks) << p.name;
+    EXPECT_EQ(obs.total(Ctr::PodemAborts), p.podem_aborts) << p.name;
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "bench_circuits/paper_examples.h"
 
@@ -106,6 +107,30 @@ TEST(BenchIo, MuxAndConstParse) {
       "m");
   EXPECT_EQ(nl.type(nl.find("y")), GateType::Mux);
   EXPECT_EQ(nl.type(nl.find("z")), GateType::Const1);
+}
+
+// Variadic gates are capped at kMaxFanin inputs: the simulators gather fanin
+// values into fixed buffers of that size, so a wider gate must be refused at
+// parse time, with its line number, instead of overrunning them later.
+TEST(BenchIo, FaninCapIsEnforcedWithLineNumber) {
+  const auto wide_and = [](std::size_t n) {
+    std::string text, args;
+    for (std::size_t i = 0; i < n; ++i) {
+      text += "INPUT(i" + std::to_string(i) + ")\n";
+      args += (i ? ", i" : "i") + std::to_string(i);
+    }
+    return text + "OUTPUT(y)\ny = AND(" + args + ")\n";
+  };
+  const Netlist nl = read_bench_string(wide_and(kMaxFanin), "w");
+  EXPECT_EQ(nl.fanins(nl.find("y")).size(), kMaxFanin);
+  try {
+    read_bench_string(wide_and(kMaxFanin + 6), "w");
+    FAIL() << "a 70-input AND parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 72: bad fanin count"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BenchIo, MissingFileThrows) {
