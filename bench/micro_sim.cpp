@@ -1,13 +1,17 @@
 // Microbenchmarks for the simulation engines: scalar vs 64-way packed logic
-// simulation, and serial vs parallel-fault sequential fault simulation (the
-// ablation behind using parallel-fault simulation in step 2).
+// simulation, serial vs parallel-fault sequential fault simulation (the
+// ablation behind using parallel-fault simulation in step 2), and the two
+// injection-heavy users of the per-node injection index: TPI's scalar
+// recomputes and packed passes full of DFF D-pin faults.
 #include <benchmark/benchmark.h>
 
 #include <random>
 
 #include "bench_circuits/generator.h"
+#include "bench_circuits/suite.h"
 #include "fault/seq_fault_sim.h"
 #include "netlist/levelize.h"
+#include "scan/tpi.h"
 #include "sim/seq_sim.h"
 
 namespace {
@@ -64,6 +68,23 @@ void BM_PackedCombSim64Patterns(benchmark::State& state) {
 }
 BENCHMARK(BM_PackedCombSim64Patterns);
 
+/// The suite's s13207 stand-in (7,951 gates, 638 flip-flops), pre-scan.
+const Netlist& s13207() {
+  static const Netlist nl = build_suite_circuit(suite_entry("s13207"));
+  return nl;
+}
+
+TestSequence random_sequence(const Netlist& nl, int cycles) {
+  TestSequence seq;
+  std::mt19937_64 rng(3);
+  for (int t = 0; t < cycles; ++t) {
+    std::vector<Val> v(nl.inputs().size());
+    for (auto& x : v) x = (rng() & 1) ? Val::One : Val::Zero;
+    seq.push_back(std::move(v));
+  }
+  return seq;
+}
+
 void BM_SerialSeqFaultSim(benchmark::State& state) {
   const Netlist& nl = circuit();
   const Levelizer lv(nl);
@@ -72,13 +93,7 @@ void BM_SerialSeqFaultSim(benchmark::State& state) {
   const std::vector<Fault> faults(all.begin(),
                                   all.begin() + std::min<std::size_t>(
                                                     all.size(), 32));
-  TestSequence seq;
-  std::mt19937_64 rng(3);
-  for (int t = 0; t < 10; ++t) {
-    std::vector<Val> v(nl.inputs().size());
-    for (auto& x : v) x = (rng() & 1) ? Val::One : Val::Zero;
-    seq.push_back(std::move(v));
-  }
+  const TestSequence seq = random_sequence(nl, 10);
   for (auto _ : state) {
     auto r = sim.run_serial(seq, faults);
     benchmark::DoNotOptimize(r.detect_cycle.data());
@@ -88,21 +103,29 @@ void BM_SerialSeqFaultSim(benchmark::State& state) {
 }
 BENCHMARK(BM_SerialSeqFaultSim);
 
-void BM_ParallelSeqFaultSim(benchmark::State& state) {
-  const Netlist& nl = circuit();
+enum class FaultPick { Collapsed32, DffDPins252 };
+
+/// One packed pass per iteration.  Collapsed32: the first 32 collapsed faults
+/// of the 2,000-gate circuit, one 64-lane word.  DffDPins252: both polarities
+/// on the D pins of s13207's first 126 flip-flops, one 256-lane pass whose
+/// every injection sits on a flip-flop the stepper clocks each cycle.
+void BM_ParallelSeqFaultSim(benchmark::State& state, FaultPick pick) {
+  const bool dff = pick == FaultPick::DffDPins252;
+  const Netlist& nl = dff ? s13207() : circuit();
   const Levelizer lv(nl);
   SeqFaultSim sim(lv, nl.outputs());
-  const auto all = collapsed_fault_list(nl);
-  const std::vector<Fault> faults(all.begin(),
-                                  all.begin() + std::min<std::size_t>(
-                                                    all.size(), 32));
-  TestSequence seq;
-  std::mt19937_64 rng(3);
-  for (int t = 0; t < 10; ++t) {
-    std::vector<Val> v(nl.inputs().size());
-    for (auto& x : v) x = (rng() & 1) ? Val::One : Val::Zero;
-    seq.push_back(std::move(v));
+  std::vector<Fault> faults;
+  if (dff) {
+    for (std::size_t i = 0; i < 126; ++i) {
+      faults.push_back({nl.dffs()[i], 0, false});
+      faults.push_back({nl.dffs()[i], 0, true});
+    }
+  } else {
+    const auto all = collapsed_fault_list(nl);
+    faults.assign(all.begin(),
+                  all.begin() + std::min<std::size_t>(all.size(), 32));
   }
+  const TestSequence seq = random_sequence(nl, 10);
   for (auto _ : state) {
     auto r = sim.run(seq, faults);
     benchmark::DoNotOptimize(r.detect_cycle.data());
@@ -110,6 +133,25 @@ void BM_ParallelSeqFaultSim(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(faults.size()));
 }
-BENCHMARK(BM_ParallelSeqFaultSim);
+BENCHMARK_CAPTURE(BM_ParallelSeqFaultSim, collapsed_32, FaultPick::Collapsed32);
+BENCHMARK_CAPTURE(BM_ParallelSeqFaultSim, dff_d_pins_252,
+                  FaultPick::DffDPins252)
+    ->Unit(benchmark::kMillisecond);
+
+/// Whole-circuit TPI on s13207 with 5 chains, as `fsct test s13207 --chains
+/// 5` runs it: 260 test points, and every path commit that adds one (or
+/// pins a PI) re-simulates the scan-mode values with all of them injected.
+void BM_TpiS13207(benchmark::State& state) {
+  TpiOptions opt;
+  opt.num_chains = 5;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Netlist nl = s13207();
+    state.ResumeTiming();
+    auto d = run_tpi(nl, opt);
+    benchmark::DoNotOptimize(&d);
+  }
+}
+BENCHMARK(BM_TpiS13207)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -15,6 +15,16 @@
 namespace fsct {
 namespace {
 
+/// Step-2 verification runs up to this many vectors side by side once the
+/// open set fits one 64-lane pass (kS2WaveMaxOpen faults).  A fixed
+/// constant, so the work done never depends on --jobs.
+constexpr std::size_t kS2Wave = 4;
+constexpr std::size_t kS2WaveMaxOpen = 63;
+/// Node-cycles (netlist nodes x scan-sequence cycles) of one vector's pass
+/// below which waves stay one vector wide: waking the pool costs more than
+/// such a pass (s1488-sized circuits are about 10^4, s1423 about 1.3*10^5).
+constexpr std::size_t kS2WaveMinWork = std::size_t{1} << 16;
+
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -134,8 +144,16 @@ std::vector<int> ParallelPhases::s2_first_vec(
       opt_.observe_cycles ? opt_.observe_cycles : maxlen_ + 2;
   ScanSequenceBuilder sb(model_.levelizer().netlist(), model_.design());
   SeqFaultSim ssim(model_.levelizer(), observe_, opt_.simd_width);
+  auto sequence = [&](std::size_t vi) {
+    return sb.apply_comb_vector(vectors[vi].ff_state, vectors[vi].pi_vals,
+                                observe_cycles);
+  };
   std::vector<char> det(ids.size(), 0);
-  for (std::size_t vi = 0; vi < vectors.size(); ++vi) {
+  const bool widen = model_.levelizer().netlist().size() *
+                         (maxlen_ + 1 + observe_cycles) >=
+                     kS2WaveMinWork;
+  std::size_t wave = 1;  // vectors in the next wave: 1, 2, 4, ... kS2Wave
+  for (std::size_t vi = 0; vi < vectors.size();) {
     std::vector<Fault> open;
     std::vector<std::size_t> open_pos;
     std::vector<std::size_t> open_ids;
@@ -147,16 +165,74 @@ std::vector<int> ParallelPhases::s2_first_vec(
       }
     }
     if (open.empty()) break;  // every later vector sees an empty open set too
-    const TestSequence seq = sb.apply_comb_vector(
-        vectors[vi].ff_state, vectors[vi].pi_vals, observe_cycles);
-    const SeqFaultSimResult r =
-        ssim.run(seq, open, Val::X, &pool_, obs_, open_ids);
-    for (std::size_t m = 0; m < open.size(); ++m) {
-      if (r.detect_cycle[m] >= 0) {
-        det[open_pos[m]] = 1;
-        first[open_pos[m]] = static_cast<int>(vi);
+    if (open.size() > kS2WaveMaxOpen) {
+      // Several packed passes: the pool runs them side by side.
+      const SeqFaultSimResult r =
+          ssim.run(sequence(vi), open, Val::X, &pool_, obs_, open_ids);
+      for (std::size_t m = 0; m < open.size(); ++m) {
+        if (r.detect_cycle[m] >= 0) {
+          det[open_pos[m]] = 1;
+          first[open_pos[m]] = static_cast<int>(vi);
+        }
+      }
+      ++vi;
+      continue;
+    }
+
+    // One narrowest pass holds the whole open set, so the pool runs the
+    // next vectors side by side instead, each against this open set.  A
+    // fault's first vector is the lowest index that detects it, and each
+    // lane's outcome is independent of the others in its pass, so replaying
+    // the per-(fault, vector) detect cycles in vector order charges exactly
+    // what the one-vector-at-a-time walk would: per vector, one pass over
+    // the faults still open, stopping at the last detection when it clears
+    // them all.  The wave doubles up to kS2Wave, so a vector that clears a
+    // fresh open set costs no speculative passes; on small circuits it
+    // stays one vector wide.
+    const std::size_t nw = std::min(wave, vectors.size() - vi);
+    if (widen) wave = std::min(2 * wave, kS2Wave);
+    std::vector<std::size_t> len(nw);
+    std::vector<std::vector<int>> dc(nw);
+    parallel_for(pool_, nw, 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t j = b; j < e; ++j) {
+        const ObsSpan span(obs_, "seqsim.pass");
+        const TestSequence seq = sequence(vi + j);
+        len[j] = seq.size();
+        dc[j] = ssim.run(seq, open, Val::X).detect_cycle;
+      }
+    });
+    for (std::size_t j = 0; j < nw; ++j) {
+      // The serial pass runs until its last open fault resolves: the
+      // largest resolved cycle count (the full length if one escapes).
+      std::uint64_t cycles = 0, dropped = 0;
+      std::size_t live = 0;
+      for (std::size_t m = 0; m < open.size(); ++m) {
+        if (det[open_pos[m]]) continue;
+        ++live;
+        const int d = dc[j][m];
+        const std::uint64_t resolved =
+            d >= 0 ? static_cast<std::uint64_t>(d) + 1 : len[j];
+        cycles = std::max(cycles, resolved);
+        if (obs_) {
+          obs_->charge(Attr::SeqSims, open_ids[m]);
+          obs_->charge(Attr::SeqCycles, open_ids[m], resolved);
+        }
+        if (d >= 0) ++dropped;
+      }
+      if (live == 0) break;  // cleared by an earlier vector of the wave
+      if (obs_) {
+        obs_->add(Ctr::SeqSimPackedPasses);
+        obs_->add(Ctr::SeqSimCycles, cycles);
+        obs_->add(Ctr::SeqSimFaultsDropped, dropped);
+      }
+      for (std::size_t m = 0; m < open.size(); ++m) {
+        if (!det[open_pos[m]] && dc[j][m] >= 0) {
+          det[open_pos[m]] = 1;
+          first[open_pos[m]] = static_cast<int>(vi + j);
+        }
       }
     }
+    vi += nw;
   }
   return first;
 }

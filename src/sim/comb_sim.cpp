@@ -44,17 +44,20 @@ void CombSim::run(std::vector<Val>& values,
       values[i.node] = i.value;
     }
   }
+  for (const Injection& i : inj) injected_[i.node] = 1;
   Val ins[kMaxFanin];
   for (NodeId id : lv_.topo_order()) {
     const auto fins = nl.fanins(id);
+    const bool hit = injected_[id] != 0;
     for (std::size_t p = 0; p < fins.size(); ++p) {
       ins[p] = values[fins[p]];
-      apply_scalar(inj, id, static_cast<int>(p), ins[p]);
+      if (hit) apply_scalar(inj, id, static_cast<int>(p), ins[p]);
     }
     Val out = eval_gate(nl.type(id), ins, fins.size());
-    apply_scalar(inj, id, -1, out);
+    if (hit) apply_scalar(inj, id, -1, out);
     values[id] = out;
   }
+  for (const Injection& i : inj) injected_[i.node] = 0;
 }
 
 Val CombSim::d_value(NodeId dff, const std::vector<Val>& values,

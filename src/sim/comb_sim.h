@@ -25,15 +25,20 @@ struct Injection {
   Val value = Val::X;
 };
 
-/// Scalar 3-valued levelized simulator.
+/// Scalar 3-valued levelized simulator.  Like PackedCombSim it keeps a
+/// per-node "injected" scratch flag, so one instance must not run() on two
+/// threads at once.
 class CombSim {
  public:
-  explicit CombSim(const Levelizer& lv) : lv_(lv) {}
+  explicit CombSim(const Levelizer& lv)
+      : lv_(lv), injected_(lv.netlist().size(), 0) {}
 
   /// Evaluates all combinational gates into `values` (sized netlist.size();
-  /// sources pre-set by caller).  `inj` forces stuck values; a DFF node's
-  /// entry in `values` is its Q (source) value and is NOT recomputed — the
-  /// D-input value is read via d_value().
+  /// sources pre-set by caller).  `inj` forces stuck values; when several
+  /// entries name the same (node, pin), the last one wins.  Only nodes that
+  /// carry an injection scan the list.  A DFF node's entry in `values` is
+  /// its Q (source) value and is NOT recomputed — the D-input value is read
+  /// via d_value().
   void run(std::vector<Val>& values, std::span<const Injection> inj = {}) const;
 
   /// Value presented at a DFF's D pin after run(), honouring pin injections
@@ -45,6 +50,7 @@ class CombSim {
 
  private:
   const Levelizer& lv_;
+  mutable std::vector<char> injected_;  // per-node "has injection" scratch
 };
 
 /// Packed injection: forces `value` on the patterns selected by `mask`.

@@ -20,8 +20,10 @@
 // On top of it, WideVal<NW> generalises PackedVal from one 64-bit word to NW
 // words (NW in {1, 4, 8} -> 64 / 256 / 512 lanes).  The words are plain
 // alignas'd uint64_t arrays: every per-lane operation is a fixed-trip-count
-// loop over NW words, which the compiler auto-vectorises to whatever the
-// target ISA offers — no intrinsics, identical results at every width.
+// loop over NW words — no intrinsics, identical results at every width.  At
+// the default flags (-O2, no -march) the compiler emits at most 128-bit
+// SSE2 for these loops, so a 256-lane pass costs several times a 64-lane
+// one (DESIGN.md §5h).
 //
 // Lane-width selection: the compile-time default FSCT_DEFAULT_SIMD_WIDTH
 // (CMake cache variable FSCT_SIMD_WIDTH) seeds a process-global default that
@@ -276,35 +278,39 @@ class WideSim {
   explicit WideSim(std::shared_ptr<const SoaCircuit> c)
       : c_(std::move(c)),
         values_(c_->size(), WideVal<NW>::broadcast(Val::X)),
-        injected_(c_->size(), 0) {}
+        head_(c_->size(), kNoInjection) {}
 
   const SoaCircuit& circuit() const { return *c_; }
   WideVal<NW>& value(NodeId id) { return values_[id]; }
   const WideVal<NW>& value(NodeId id) const { return values_[id]; }
 
+  /// Evaluates every combinational gate.  `inj` is indexed once per call
+  /// into per-node chains (see index_injections), so a gate pays for the
+  /// injections on it only, and the chains stay valid for d_value() until
+  /// the next run().
   void run(std::span<const WideInjection<NW>> inj = {}) {
     const SoaCircuit& c = *c_;
     for (NodeId id : c.const0()) values_[id] = WideVal<NW>::broadcast(Val::Zero);
     for (NodeId id : c.const1()) values_[id] = WideVal<NW>::broadcast(Val::One);
+    index_injections(inj);
     for (const WideInjection<NW>& i : inj) {
       if (i.pin == -1 && !is_combinational(c.type(i.node))) {
         i.force(values_[i.node]);
       }
-      injected_[i.node] = 1;
     }
     for (const SoaRun& r : c.runs()) {
       switch (r.type) {
         case GateType::Buf:
           for (std::uint32_t i = r.begin; i < r.end; ++i) {
             const NodeId id = c.order()[i];
-            if (injected_[id]) { eval_injected(id, inj); continue; }
+            if (head_[id] != kNoInjection) { eval_injected(id); continue; }
             values_[id] = values_[c.fanin(id)[0]];
           }
           break;
         case GateType::Not:
           for (std::uint32_t i = r.begin; i < r.end; ++i) {
             const NodeId id = c.order()[i];
-            if (injected_[id]) { eval_injected(id, inj); continue; }
+            if (head_[id] != kNoInjection) { eval_injected(id); continue; }
             values_[id] = wide_detail::not_w(values_[c.fanin(id)[0]]);
           }
           break;
@@ -312,7 +318,7 @@ class WideSim {
         case GateType::Nand:
           for (std::uint32_t i = r.begin; i < r.end; ++i) {
             const NodeId id = c.order()[i];
-            if (injected_[id]) { eval_injected(id, inj); continue; }
+            if (head_[id] != kNoInjection) { eval_injected(id); continue; }
             const NodeId* f = c.fanin(id);
             const std::uint32_t n = c.fanin_count(id);
             WideVal<NW> v = values_[f[0]];
@@ -326,7 +332,7 @@ class WideSim {
         case GateType::Nor:
           for (std::uint32_t i = r.begin; i < r.end; ++i) {
             const NodeId id = c.order()[i];
-            if (injected_[id]) { eval_injected(id, inj); continue; }
+            if (head_[id] != kNoInjection) { eval_injected(id); continue; }
             const NodeId* f = c.fanin(id);
             const std::uint32_t n = c.fanin_count(id);
             WideVal<NW> v = values_[f[0]];
@@ -339,7 +345,7 @@ class WideSim {
         default:
           for (std::uint32_t i = r.begin; i < r.end; ++i) {
             const NodeId id = c.order()[i];
-            if (injected_[id]) { eval_injected(id, inj); continue; }
+            if (head_[id] != kNoInjection) { eval_injected(id); continue; }
             const NodeId* f = c.fanin(id);
             const std::uint32_t n = c.fanin_count(id);
             WideVal<NW> ins[kMaxFanin];
@@ -349,40 +355,63 @@ class WideSim {
           break;
       }
     }
-    for (const WideInjection<NW>& i : inj) injected_[i.node] = 0;
   }
 
-  /// Value at a DFF's D pin after run(), honouring pin injections on the DFF.
-  WideVal<NW> d_value(std::size_t dff_index,
-                      std::span<const WideInjection<NW>> inj = {}) const {
+  /// Value at a DFF's D pin after run(), honouring the pin injections on the
+  /// DFF among those the last run() was given (that list must still be
+  /// alive and unchanged).  Walks the DFF's chain, not the whole list.
+  WideVal<NW> d_value(std::size_t dff_index) const {
     const NodeId dff = c_->dffs()[dff_index];
     WideVal<NW> v = values_[c_->dff_d()[dff_index]];
-    for (const WideInjection<NW>& i : inj) {
-      if (i.node == dff && i.pin == 0) i.force(v);
+    for (std::int32_t k = head_[dff]; k != kNoInjection; k = next_[k]) {
+      if (indexed_[k].pin == 0) indexed_[k].force(v);
     }
     return v;
   }
 
  private:
-  void eval_injected(NodeId id, std::span<const WideInjection<NW>> inj) {
+  static constexpr std::int32_t kNoInjection = -1;
+
+  /// Rebuilds the per-node injection chains: head_[node] is the index of
+  /// the node's first entry in `inj`, next_[k] the node's entry after k, so
+  /// a walk visits one node's injections in list order (a later entry on
+  /// the same lanes wins, as in a linear scan).
+  void index_injections(std::span<const WideInjection<NW>> inj) {
+    for (NodeId id : chained_) head_[id] = kNoInjection;
+    chained_.clear();
+    next_.resize(inj.size());
+    for (std::size_t k = inj.size(); k-- > 0;) {
+      const NodeId id = inj[k].node;
+      if (head_[id] == kNoInjection) chained_.push_back(id);
+      next_[k] = head_[id];
+      head_[id] = static_cast<std::int32_t>(k);
+    }
+    indexed_ = inj;
+  }
+
+  void eval_injected(NodeId id) {
     const SoaCircuit& c = *c_;
+    const std::span<const WideInjection<NW>> inj = indexed_;
     const NodeId* f = c.fanin(id);
     const std::uint32_t n = c.fanin_count(id);
     WideVal<NW> ins[kMaxFanin];
     for (std::uint32_t k = 0; k < n; ++k) ins[k] = values_[f[k]];
-    for (const WideInjection<NW>& i : inj) {
-      if (i.node == id && i.pin >= 0) i.force(ins[i.pin]);
+    for (std::int32_t k = head_[id]; k != kNoInjection; k = next_[k]) {
+      if (inj[k].pin >= 0) inj[k].force(ins[inj[k].pin]);
     }
     WideVal<NW> out = eval_gate_wide<NW>(c.type(id), ins, n);
-    for (const WideInjection<NW>& i : inj) {
-      if (i.node == id && i.pin == -1) i.force(out);
+    for (std::int32_t k = head_[id]; k != kNoInjection; k = next_[k]) {
+      if (inj[k].pin == -1) inj[k].force(out);
     }
     values_[id] = out;
   }
 
   std::shared_ptr<const SoaCircuit> c_;
   std::vector<WideVal<NW>> values_;
-  std::vector<char> injected_;
+  std::vector<std::int32_t> head_;  // per node: first entry in its chain
+  std::vector<std::int32_t> next_;  // per entry: next entry on its node
+  std::vector<NodeId> chained_;     // nodes whose head_ is set
+  std::span<const WideInjection<NW>> indexed_;  // the last run()'s list
 };
 
 /// W-lane sequential stepper (the wide counterpart of PackedSeqSim): per
@@ -423,7 +452,7 @@ class WideSeqSim {
     }
     sim_.run(inj);
     for (std::size_t i = 0; i < state_.size(); ++i) {
-      state_[i] = sim_.d_value(i, inj);
+      state_[i] = sim_.d_value(i);
     }
     return sim_;
   }

@@ -142,6 +142,45 @@ TEST(SeqFaultSim, ParallelHandlesMoreThan63Faults) {
   }
 }
 
+TEST(SeqFaultSim, DffDPinFaultsMatchSerialAtEveryWidth) {
+  // Both polarities on every DFF D pin (plus each DFF's stem): far more than
+  // 63 faults, so passes at every width carry many D-pin injections that the
+  // stepper must apply through its per-node chains at every clock edge.
+  RandomCircuitSpec gspec;
+  gspec.num_gates = 300;
+  gspec.num_ffs = 70;
+  gspec.num_pis = 8;
+  gspec.num_pos = 6;
+  gspec.seed = 77;
+  const Netlist nl = make_random_sequential(gspec);
+  const Levelizer lv(nl);
+  std::vector<Fault> faults;
+  for (NodeId q : nl.dffs()) {
+    faults.push_back({q, 0, false});
+    faults.push_back({q, 0, true});
+    faults.push_back({q, -1, true});
+  }
+  ASSERT_GT(faults.size(), 63u * 3);
+  std::mt19937_64 rng(21);
+  TestSequence seq;
+  for (int t = 0; t < 25; ++t) {
+    std::vector<Val> v(nl.inputs().size());
+    for (auto& x : v) x = (rng() & 1) ? k1 : k0;
+    seq.push_back(std::move(v));
+  }
+  const SeqFaultSim ref(lv, nl.outputs(), 64);
+  const auto want = ref.run_serial(seq, faults, k0);
+  ASSERT_GT(want.num_detected(), 0u);
+  for (const int width : kSimdWidths) {
+    const SeqFaultSim sim(lv, nl.outputs(), width);
+    const auto got = sim.run(seq, faults, k0);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      EXPECT_EQ(got.detect_cycle[i], want.detect_cycle[i])
+          << fault_name(nl, faults[i]) << " width " << width;
+    }
+  }
+}
+
 // --- Chain-broken-by-target-fault edge cases -------------------------------
 //
 // The pipeline's flush-credit and ledger passes lean on one property: a fault

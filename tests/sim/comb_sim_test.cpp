@@ -105,6 +105,91 @@ TEST(CombSim, DValueReadsDffInput) {
   EXPECT_EQ(f.sim.d_value(q, v, inj), k0);
 }
 
+/// Random injections over every kind of location: gate pins and stems,
+/// source stems (PIs, DFF Q), DFF D pins, with a tail of duplicates that
+/// re-target earlier (node, pin) entries with another value.
+std::vector<Injection> random_injections(const Netlist& nl, std::size_t n,
+                                         std::mt19937_64& rng) {
+  const Val vals[3] = {k0, k1, kX};
+  std::vector<Injection> inj;
+  while (inj.size() < n) {
+    const NodeId id = static_cast<NodeId>(rng() % nl.size());
+    const auto fins = nl.fanins(id);
+    const int pin = (fins.empty() || rng() % 3 == 0)
+                        ? -1
+                        : static_cast<int>(rng() % fins.size());
+    inj.push_back({id, pin, vals[rng() % 3]});
+  }
+  for (std::size_t k = 0; k < n / 4; ++k) {
+    Injection dup = inj[rng() % inj.size()];
+    dup.value = vals[rng() % 3];
+    inj.push_back(dup);
+  }
+  return inj;
+}
+
+/// Reference evaluator: every gate pin, stem and source scans the whole
+/// injection list, and the last matching entry wins.
+std::vector<Val> linear_scan_run(const Levelizer& lv, std::vector<Val> v,
+                                 std::span<const Injection> inj) {
+  const Netlist& nl = lv.netlist();
+  auto force = [&](NodeId id, int pin, Val& x) {
+    for (const Injection& i : inj) {
+      if (i.node == id && i.pin == pin) x = i.value;
+    }
+  };
+  for (NodeId id = 0; id < nl.size(); ++id) {
+    if (nl.type(id) == GateType::Const0) v[id] = k0;
+    if (nl.type(id) == GateType::Const1) v[id] = k1;
+    if (!is_combinational(nl.type(id))) force(id, -1, v[id]);
+  }
+  for (NodeId id : lv.topo_order()) {
+    const auto fins = nl.fanins(id);
+    Val ins[kMaxFanin];
+    for (std::size_t p = 0; p < fins.size(); ++p) {
+      ins[p] = v[fins[p]];
+      force(id, static_cast<int>(p), ins[p]);
+    }
+    Val out = eval_gate(nl.type(id), ins, fins.size());
+    force(id, -1, out);
+    v[id] = out;
+  }
+  return v;
+}
+
+TEST(CombSim, InjectionIndexMatchesLinearScan) {
+  std::mt19937_64 rng(17);
+  for (int trial = 0; trial < 3; ++trial) {
+    RandomCircuitSpec spec;
+    spec.num_gates = 400;
+    spec.num_ffs = 40;
+    spec.num_pis = 10;
+    spec.seed = 500 + static_cast<std::uint64_t>(trial);
+    Fixture f(make_random_sequential(spec));
+    // Several lists on one simulator: the per-node flags must not leak from
+    // one run() into the next.
+    for (const std::size_t n : {300u, 40u, 0u, 200u}) {
+      const std::vector<Injection> inj = random_injections(f.nl, n, rng);
+      std::vector<Val> v(f.nl.size(), kX);
+      for (NodeId s : f.nl.inputs()) v[s] = (rng() & 1) ? k1 : k0;
+      for (NodeId s : f.nl.dffs()) v[s] = (rng() % 3 == 0) ? kX : k1;
+      const std::vector<Val> want = linear_scan_run(f.lv, v, inj);
+      f.sim.run(v, inj);
+      for (NodeId id = 0; id < f.nl.size(); ++id) {
+        ASSERT_EQ(v[id], want[id]) << "node " << f.nl.node_name(id)
+                                   << " trial " << trial << " n " << n;
+      }
+      for (NodeId q : f.nl.dffs()) {
+        Val d = want[f.nl.fanins(q)[0]];
+        for (const Injection& i : inj) {
+          if (i.node == q && i.pin == 0) d = i.value;
+        }
+        ASSERT_EQ(f.sim.d_value(q, v, inj), d) << f.nl.node_name(q);
+      }
+    }
+  }
+}
+
 // Property: packed simulation of 64 random patterns agrees with 64 scalar
 // runs, on random circuits.
 TEST(PackedCombSim, AgreesWithScalarOnRandomCircuits) {

@@ -257,6 +257,105 @@ TEST(WideSim, InjectionMasksAreLaneLocal) {
   }
 }
 
+/// Reference for the injection chains: every gate pin, stem and DFF D pin
+/// scans the whole list, applying matches in list order.
+template <int NW>
+std::vector<WideVal<NW>> linear_scan_run(
+    const Levelizer& lv, std::vector<WideVal<NW>> v,
+    std::span<const WideInjection<NW>> inj) {
+  const Netlist& nl = lv.netlist();
+  auto force = [&](NodeId id, int pin, WideVal<NW>& x) {
+    for (const WideInjection<NW>& i : inj) {
+      if (i.node == id && i.pin == pin) i.force(x);
+    }
+  };
+  for (NodeId id = 0; id < nl.size(); ++id) {
+    if (nl.type(id) == GateType::Const0) v[id] = WideVal<NW>::broadcast(Val::Zero);
+    if (nl.type(id) == GateType::Const1) v[id] = WideVal<NW>::broadcast(Val::One);
+    if (!is_combinational(nl.type(id))) force(id, -1, v[id]);
+  }
+  for (NodeId id : lv.topo_order()) {
+    const auto fins = nl.fanins(id);
+    WideVal<NW> ins[kMaxFanin];
+    for (std::size_t p = 0; p < fins.size(); ++p) {
+      ins[p] = v[fins[p]];
+      force(id, static_cast<int>(p), ins[p]);
+    }
+    WideVal<NW> out = eval_gate_wide<NW>(nl.type(id), ins, fins.size());
+    force(id, -1, out);
+    v[id] = out;
+  }
+  return v;
+}
+
+template <int NW>
+void check_injection_chains(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const Val vals[3] = {Val::Zero, Val::One, Val::X};
+  for (int trial = 0; trial < 2; ++trial) {
+    RandomCircuitSpec spec;
+    spec.num_gates = 400;
+    spec.num_ffs = 40;
+    spec.num_pis = 10;
+    spec.seed = seed + static_cast<std::uint64_t>(trial);
+    const Netlist nl = make_random_sequential(spec);
+    const Levelizer lv(nl);
+    const auto soa = SoaCircuit::compile(lv);
+    WideSim<NW> sim(soa);
+    // Several lists on one simulator: chains must be rebuilt, not merged.
+    for (const std::size_t n : {300u, 40u, 0u, 200u}) {
+      std::vector<WideInjection<NW>> inj;
+      while (inj.size() < n) {
+        WideInjection<NW> i;
+        i.node = static_cast<NodeId>(rng() % nl.size());
+        const auto fins = nl.fanins(i.node);
+        i.pin = (fins.empty() || rng() % 3 == 0)
+                    ? -1
+                    : static_cast<int>(rng() % fins.size());
+        i.value = vals[rng() % 3];
+        for (int w = 0; w < NW; ++w) i.mask[w] = rng() & rng();
+        inj.push_back(i);
+      }
+      // Duplicates of earlier (node, pin) entries, overlapping lanes,
+      // another value: the later entry must win where they overlap.
+      for (std::size_t k = 0; k < n / 4; ++k) {
+        WideInjection<NW> dup = inj[rng() % inj.size()];
+        dup.value = vals[rng() % 3];
+        for (int w = 0; w < NW; ++w) dup.mask[w] |= rng() & rng();
+        inj.push_back(dup);
+      }
+      std::vector<WideVal<NW>> src(nl.size(), WideVal<NW>::broadcast(Val::X));
+      auto randomize = [&](NodeId id) {
+        for (unsigned lane = 0; lane < WideVal<NW>::kLanes; ++lane) {
+          src[id].set(lane, rand_3val(rng));
+        }
+        sim.value(id) = src[id];
+      };
+      for (NodeId id : nl.inputs()) randomize(id);
+      for (NodeId id : nl.dffs()) randomize(id);
+      const auto want = linear_scan_run<NW>(lv, src, inj);
+      sim.run(inj);
+      for (NodeId id = 0; id < nl.size(); ++id) {
+        ASSERT_EQ(sim.value(id), want[id])
+            << "NW " << NW << " node " << nl.node_name(id) << " n " << n;
+      }
+      for (std::size_t q = 0; q < nl.dffs().size(); ++q) {
+        WideVal<NW> d = want[nl.fanins(nl.dffs()[q])[0]];
+        for (const WideInjection<NW>& i : inj) {
+          if (i.node == nl.dffs()[q] && i.pin == 0) i.force(d);
+        }
+        ASSERT_EQ(sim.d_value(q), d) << "NW " << NW << " dff " << q;
+      }
+    }
+  }
+}
+
+TEST(WideSim, InjectionChainsMatchLinearScan) {
+  check_injection_chains<1>(700);
+  check_injection_chains<4>(710);
+  check_injection_chains<8>(720);
+}
+
 TEST(SimdWidth, DefaultAndValidation) {
   EXPECT_TRUE(is_valid_simd_width(64));
   EXPECT_TRUE(is_valid_simd_width(256));

@@ -236,13 +236,15 @@ TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan \
 if [[ "$TSAN_ONLY" == 0 ]]; then
   # UBSan over the new SoA/wide kernels: the multi-word lane types lean on
   # alignas + fixed-trip-count word loops, so shifts, alignment and aliasing
-  # must be provably clean at every width.
+  # must be provably clean at every width.  The scalar simulator and TPI
+  # ride along: CombSim keeps per-node injection flags sized to the netlist,
+  # and TPI drives it with hundreds of injections per run.
   cmake -B build-ubsan -S . -DFSCT_SANITIZE=undefined "$@"
   cmake --build build-ubsan -j \
     --target soa_sim_test seq_fault_sim_test pair_sim_test podem_test \
-    test_export_test
+    test_export_test comb_sim_test tpi_test
   UBSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-ubsan \
-    --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.|TestExport\.'
+    --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.|TestExport\.|CombSim\.|Tpi\.|TpiRandom\.'
   echo "check.sh: UBSan clean over the SoA/wide kernels"
 fi
 echo "check.sh: OK (plain tests $( [[ $TSAN_ONLY == 1 ]] && echo skipped || echo passed ), TSan clean)"
