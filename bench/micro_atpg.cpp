@@ -1,10 +1,14 @@
 // Microbenchmarks for the ATPG stack: PODEM on the combinational scan-mode
 // model and on a real step-3 unrolled group model, classification
-// throughput, and reduced-model construction — the pieces whose cost shapes
+// throughput, and reduced-model construction (a small random circuit and
+// the large s13207/s5378 final models) — the pieces whose cost shapes
 // Tables 2 and 3.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "atpg/podem.h"
 #include "atpg/unroll.h"
@@ -63,14 +67,13 @@ BENCHMARK(BM_Classify);
 void BM_CombPodem(benchmark::State& state) {
   World& w = world();
   UnrollSpec spec;
-  spec.base = &w.nl;
+  spec.base = w.lv.get();
   spec.frames = 1;
   spec.fixed_pis = w.design.pi_constraints;
   spec.controllable_state.assign(w.nl.dffs().size(), 1);
   spec.observable_ff.assign(w.nl.dffs().size(), 1);
   static const UnrolledModel um = unroll(spec);
-  static const Levelizer ulv(um.nl);
-  Podem podem(ulv, um.controllable, um.observe, AtpgOptions{200});
+  Podem podem(um.circuit, um.controllable, um.observe, AtpgOptions{200});
   std::size_t i = 0;
   for (auto _ : state) {
     auto r = podem.generate(um.map_fault(w.faults[i++ % w.faults.size()]));
@@ -83,8 +86,8 @@ BENCHMARK(BM_CombPodem);
 // s1423's largest step-3 group, exactly as the pipeline forms it: the hard
 // faults still open when step 3 starts (time limits 0), windowed and grouped
 // with the auto distance parameters, and built into one reduced unrolled
-// model at time limit 0.  Built in place: the Levelizers and the model's
-// PODEM hold references into their netlists, so nothing here may move.
+// model at time limit 0.  Built in place: the Levelizer and the scan model
+// hold references into the netlist, so nothing here may move.
 struct Step3World {
   Netlist nl;
   ScanDesign design;
@@ -181,7 +184,7 @@ void BM_Step3GroupPodem(benchmark::State& state) {
   state.counters["decisions_per_s"] = benchmark::Counter(
       static_cast<double>(decisions), benchmark::Counter::kIsRate);
   state.counters["model_nodes"] =
-      static_cast<double>(w.rm->um.nl.size());
+      static_cast<double>(w.rm->um.circuit->size());
   state.counters["targets"] = static_cast<double>(w.targets.size());
 }
 BENCHMARK(BM_Step3GroupPodem)->Unit(benchmark::kMillisecond);
@@ -211,6 +214,69 @@ void BM_ReducedModelBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReducedModelBuild);
+
+// One step-3 final model exactly as the final pass builds it: the suite
+// circuit after TPI with its suite chains, the fault's own window from its
+// classification, the final pass's extra frames.  s13207 fault 5772 is the
+// first of its ten final faults (12 frames, 105,196 nodes); s5378 fault 679
+// is its largest final model (87 frames, 262,660 nodes), both at the
+// default pipeline options.  Built in place, like Step3World.
+struct FinalModelWorld {
+  Netlist nl;
+  ScanDesign design;
+  std::unique_ptr<Levelizer> lv;
+  std::unique_ptr<ScanModeModel> model;
+  std::unique_ptr<ReducedCircuitBuilder> builder;
+  AtpgGroup group;
+  Fault fault;
+};
+
+const FinalModelWorld& final_model_world(const char* circuit,
+                                         std::size_t fault) {
+  static std::map<std::pair<std::string, std::size_t>,
+                  std::unique_ptr<FinalModelWorld>>
+      worlds;
+  std::unique_ptr<FinalModelWorld>& slot = worlds[{circuit, fault}];
+  if (slot) return *slot;
+  slot = std::make_unique<FinalModelWorld>();
+  FinalModelWorld& x = *slot;
+  const SuiteEntry e = suite_entry(circuit);
+  x.nl = build_suite_circuit(e);
+  TpiOptions topt;
+  topt.num_chains = e.chains;
+  x.design = run_tpi(x.nl, topt);
+  x.lv = std::make_unique<Levelizer>(x.nl);
+  x.model = std::make_unique<ScanModeModel>(*x.lv, x.design);
+  x.fault = collapsed_fault_list(x.nl).at(fault);
+  x.builder = std::make_unique<ReducedCircuitBuilder>(*x.model);
+  x.group.kind = 1;
+  x.group.fault_indices = {fault};
+  x.group.window =
+      make_fault_window(fault, ChainFaultClassifier(*x.model).classify(x.fault))
+          .chains;
+  return x;
+}
+
+void BM_BuildReducedModel(benchmark::State& state, const char* circuit,
+                          std::size_t fault) {
+  const FinalModelWorld& w = final_model_world(circuit, fault);
+  const int extra_frames = PipelineOptions{}.final_extra_frames;
+  std::size_t nodes = 0;
+  int frames = 0;
+  for (auto _ : state) {
+    const ReducedModel rm =
+        w.builder->build(w.group, std::span(&w.fault, 1), extra_frames);
+    nodes = rm.um.circuit->size();
+    frames = rm.frames;
+    benchmark::DoNotOptimize(&rm);
+  }
+  state.counters["model_nodes"] = static_cast<double>(nodes);
+  state.counters["frames"] = frames;
+}
+BENCHMARK_CAPTURE(BM_BuildReducedModel, s13207_final, "s13207", 5772)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BuildReducedModel, s5378_final, "s5378", 679)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_TpiWholeCircuit(benchmark::State& state) {
   for (auto _ : state) {

@@ -48,7 +48,7 @@ int main() {
   g.fault_indices = {0};
   g.window = make_fault_window(0, info).chains;
   const ReducedModel rm = builder.build(g, std::span(&fault, 1));
-  std::printf("reduced model: %zu nodes, %d frames\n", rm.um.nl.size(),
+  std::printf("reduced model: %zu nodes, %d frames\n", rm.um.circuit->size(),
               rm.frames);
   const AtpgResult r = rm.podem->generate(rm.um.map_fault(fault));
   if (r.status != AtpgStatus::Detected) {

@@ -70,8 +70,7 @@ inline PairBits eval_pair(GateType t, std::uint32_t n, In in) {
 
 }  // namespace
 
-PairSim::PairSim(const Levelizer& lv)
-    : lv_(lv), soa_(SoaCircuit::compile(lv)) {
+PairSim::PairSim(std::shared_ptr<const SoaCircuit> c) : soa_(std::move(c)) {
   const std::size_t n = soa_->size();
   val_.assign(n, 0);
   flag_.assign(n, 0);
@@ -130,7 +129,7 @@ void PairSim::init(std::span<const FaultSite> sites) {
       throw std::logic_error("PairSim requires a pure combinational netlist");
     }
   }
-  for (NodeId id : lv_.topo_order()) note_change(id, eval_node(id));
+  for (NodeId id : soa_->topo_order()) note_change(id, eval_node(id));
   trail_.clear();
 }
 

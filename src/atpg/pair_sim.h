@@ -1,10 +1,11 @@
 // Good/faulty pair simulation for ATPG (the 5-valued D-calculus: a net whose
 // pair is (1,0) carries D, (0,1) carries D').
 //
-// PairSim works on a *pure combinational* netlist (sources are Input/Const
-// nodes only — sequential circuits are first unrolled, see unroll.h).  The
-// fault is a set of FaultSite overrides applied to the faulty component only;
-// multiple sites model the same stuck-at fault replicated across time frames.
+// PairSim works on a *pure combinational* flat circuit (sources are
+// Input/Const nodes only — sequential circuits are first unrolled, see
+// unroll.h).  The fault is a set of FaultSite overrides applied to the
+// faulty component only; multiple sites model the same stuck-at fault
+// replicated across time frames.
 //
 // Each net's pair is one dual-rail byte (PairBits): a "is 0" and a "is 1"
 // rail per machine, so one pass over a gate's fanin bytes evaluates the good
@@ -79,7 +80,9 @@ struct FaultSite {
 /// Event-driven good/faulty pair simulator.
 class PairSim {
  public:
-  explicit PairSim(const Levelizer& lv);
+  explicit PairSim(std::shared_ptr<const SoaCircuit> c);
+  /// A base circuit's simulator (its memoized flat compilation).
+  explicit PairSim(const Levelizer& lv) : PairSim(SoaCircuit::compile(lv)) {}
 
   /// Resets all nets to X, installs the fault sites, settles the circuit
   /// (constants propagate) and empties the trail.  Must be called before
@@ -112,7 +115,7 @@ class PairSim {
   bool any_effect() const { return effect_count_ > 0; }
 
   /// Marks the nets whose effects any_observed_effect() reports (`mask`
-  /// sized netlist.size()).  Survives init(); PODEM sets its observation
+  /// sized soa().size()).  Survives init(); PODEM sets its observation
   /// points once and gets an O(1) "detected" predicate.
   void set_observed(std::span<const char> mask);
   bool observed(NodeId n) const { return (flag_[n] & kObserved) != 0; }
@@ -123,9 +126,7 @@ class PairSim {
   /// Nets currently carrying D/D' (compacted on call).
   const std::vector<NodeId>& effect_nets();
 
-  const Levelizer& levelizer() const { return lv_; }
-
-  /// The flat compiled view this simulator runs on (shared with PODEM for
+  /// The flat circuit this simulator runs on (shared with PODEM for
   /// combinational-fanout walks).
   const SoaCircuit& soa() const { return *soa_; }
 
@@ -151,7 +152,6 @@ class PairSim {
   void note_change(NodeId id, PairBits nv);
   void apply(NodeId id, PairBits nv);
 
-  const Levelizer& lv_;
   std::shared_ptr<const SoaCircuit> soa_;
   std::vector<PairBits> val_;
   std::vector<std::uint8_t> flag_;

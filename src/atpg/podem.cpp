@@ -12,50 +12,52 @@ namespace {
 constexpr int kInfDist = std::numeric_limits<int>::max() / 2;
 }
 
-Podem::Podem(const Levelizer& lv, std::vector<char> controllable,
-             std::vector<NodeId> observe, AtpgOptions opt)
-    : lv_(lv),
-      controllable_(std::move(controllable)),
+Podem::Podem(std::shared_ptr<const SoaCircuit> c,
+             std::vector<char> controllable, std::vector<NodeId> observe,
+             AtpgOptions opt)
+    : controllable_(std::move(controllable)),
       observe_(std::move(observe)),
-      scoap_(compute_scoap(lv, controllable_)),
+      scoap_(compute_scoap(*c, controllable_)),
       opt_(opt),
-      sim_(lv) {
-  const Netlist& nl = lv_.netlist();
+      sim_(std::move(c)) {
+  const SoaCircuit& soa = sim_.soa();
+  const std::size_t n = soa.size();
   {
-    std::vector<char> observed(nl.size(), 0);
+    std::vector<char> observed(n, 0);
     for (NodeId o : observe_) observed[o] = 1;
     sim_.set_observed(observed);
   }
 
   // Static distance (in gates) from each net to the nearest observation,
   // computed over reversed topological order.
-  obs_dist_.assign(nl.size(), kInfDist);
+  obs_dist_.assign(n, kInfDist);
   for (NodeId o : observe_) obs_dist_[o] = 0;
-  const auto& topo = lv_.topo_order();
+  const auto& topo = soa.topo_order();
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     const NodeId id = *it;
     if (obs_dist_[id] < kInfDist) {
-      for (NodeId f : nl.fanins(id)) {
+      for (std::uint32_t k = 0; k < soa.fanin_count(id); ++k) {
+        const NodeId f = soa.fanin(id)[k];
         obs_dist_[f] = std::min(obs_dist_[f], obs_dist_[id] + 1);
       }
     }
   }
-  mark_.assign(nl.size(), 0);
+  mark_.assign(n, 0);
 
   // Backtrace passes an objective through a buffer, an inverter or a MUX
   // whose select is tied to a constant without reading any value that can
   // change (a constant's good value is fixed), so each net maps straight to
   // the end of such a chain.  Fanins come first in topological order.
-  through_.resize(nl.size());
-  for (NodeId id = 0; id < nl.size(); ++id) through_[id] = id;
+  through_.resize(n);
+  for (NodeId id = 0; id < n; ++id) through_[id] = id;
   for (NodeId id : topo) {
-    const auto fins = nl.fanins(id);
-    switch (nl.type(id)) {
+    const NodeId* fins = soa.fanin(id);
+    switch (soa.type(id)) {
       case GateType::Buf: through_[id] = through_[fins[0]]; break;
       case GateType::Not: through_[id] = through_[fins[0]] ^ kInvert; break;
       case GateType::Mux: {
         const NodeId sel = through_[fins[0]];
-        const GateType st = nl.type(sel & ~kInvert);
+        const GateType st = soa.type(sel & ~kInvert);
         if (st == GateType::Const0 || st == GateType::Const1) {
           const bool one = (st == GateType::Const1) != ((sel & kInvert) != 0);
           through_[id] = through_[fins[one ? 2 : 1]];
@@ -126,15 +128,12 @@ void Podem::side_input_objectives(NodeId gate,
 
 void Podem::find_objectives(std::span<const FaultSite> sites,
                             std::vector<Objective>& out) {
-  const Netlist& nl = lv_.netlist();
   out.clear();
   if (!sim_.any_effect()) {
     // Activation phase.
     for (const FaultSite& s : sites) {
-      const NodeId anet = (s.pin < 0)
-                              ? s.node
-                              : nl.fanins(s.node)[static_cast<std::size_t>(
-                                    s.pin)];
+      const NodeId anet =
+          (s.pin < 0) ? s.node : sim_.soa().fanin(s.node)[s.pin];
       const Val need = !s.value;
       const Val cur = rail::good(sim_.bits(anet));
       if (cur == Val::X) {
@@ -380,7 +379,6 @@ AtpgResult Podem::generate(std::span<const FaultSite> sites,
 }
 
 AtpgResult Podem::generate_impl(std::span<const FaultSite> sites) {
-  const Netlist& nl = lv_.netlist();
   sim_.init(sites);
 
   struct Decision {
@@ -407,7 +405,7 @@ AtpgResult Podem::generate_impl(std::span<const FaultSite> sites) {
     }
     if (detected()) {
       res.status = AtpgStatus::Detected;
-      for (NodeId id = 0; id < nl.size(); ++id) {
+      for (NodeId id = 0; id < sim_.soa().size(); ++id) {
         if (controllable_[id] && !rail::good_x(sim_.bits(id))) {
           res.assignment.emplace_back(id, rail::good(sim_.bits(id)));
         }

@@ -10,6 +10,7 @@
 // taken when it was made (DESIGN.md §5l).
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -56,10 +57,15 @@ struct AtpgResult {
 /// many faults on the same model.
 class Podem {
  public:
-  /// `controllable` sized nl.size(), true at assignable Input nodes;
+  /// `controllable` sized c->size(), true at assignable Input nodes;
   /// `observe` lists the nets checked for fault effects.
-  Podem(const Levelizer& lv, std::vector<char> controllable,
+  Podem(std::shared_ptr<const SoaCircuit> c, std::vector<char> controllable,
         std::vector<NodeId> observe, AtpgOptions opt = {});
+  /// PODEM on a base circuit (its memoized flat compilation).
+  Podem(const Levelizer& lv, std::vector<char> controllable,
+        std::vector<NodeId> observe, AtpgOptions opt = {})
+      : Podem(SoaCircuit::compile(lv), std::move(controllable),
+              std::move(observe), opt) {}
 
   /// Generates a test for the fault given by its site overrides.  When
   /// `attr_fault` >= 0 and the obs sink has attribution enabled, the call's
@@ -68,8 +74,6 @@ class Podem {
   /// id in the per-fault attribution ledger.
   AtpgResult generate(std::span<const FaultSite> sites,
                       std::int64_t attr_fault = -1);
-
-  const Levelizer& levelizer() const { return lv_; }
 
  private:
   struct Objective {
@@ -92,7 +96,6 @@ class Podem {
   bool backtrace(Objective obj, NodeId& pi, Val& pv) const;
   bool x_path_exists(NodeId from);
 
-  const Levelizer& lv_;
   std::vector<char> controllable_;
   std::vector<NodeId> observe_;
   std::vector<int> obs_dist_;  // static gate-distance to nearest observation

@@ -1,6 +1,7 @@
 #include "atpg/scoap.h"
 
 #include <algorithm>
+#include <span>
 
 namespace fsct {
 namespace {
@@ -9,18 +10,17 @@ Cost sat_add(Cost a, Cost b) { return std::min<Cost>(kInfCost, a + b); }
 
 }  // namespace
 
-Scoap compute_scoap(const Levelizer& lv,
+Scoap compute_scoap(const SoaCircuit& circ,
                     const std::vector<char>& controllable) {
-  const Netlist& nl = lv.netlist();
   Scoap s;
-  s.cc01.assign(2 * nl.size(), kInfCost);
+  s.cc01.assign(2 * circ.size(), kInfCost);
   const auto set = [&](NodeId id, Cost c0, Cost c1) {
     s.cc01[2 * std::size_t{id}] = c0;
     s.cc01[2 * std::size_t{id} + 1] = c1;
   };
 
-  for (NodeId id = 0; id < nl.size(); ++id) {
-    switch (nl.type(id)) {
+  for (NodeId id = 0; id < circ.size(); ++id) {
+    switch (circ.type(id)) {
       case GateType::Input:
         if (controllable[id]) set(id, 1, 1);
         break;
@@ -34,8 +34,8 @@ Scoap compute_scoap(const Levelizer& lv,
     }
   }
 
-  for (NodeId id : lv.topo_order()) {
-    const auto fins = nl.fanins(id);
+  for (NodeId id : circ.topo_order()) {
+    const std::span<const NodeId> fins(circ.fanin(id), circ.fanin_count(id));
     auto min0 = [&] {
       Cost c = kInfCost;
       for (NodeId f : fins) c = std::min(c, s.cc0(f));
@@ -57,7 +57,7 @@ Scoap compute_scoap(const Levelizer& lv,
       return c;
     };
     Cost c0 = kInfCost, c1 = kInfCost;
-    switch (nl.type(id)) {
+    switch (circ.type(id)) {
       case GateType::Buf: c0 = s.cc0(fins[0]); c1 = s.cc1(fins[0]); break;
       case GateType::Not: c0 = s.cc1(fins[0]); c1 = s.cc0(fins[0]); break;
       case GateType::And: c0 = min0(); c1 = sum1(); break;
@@ -77,7 +77,7 @@ Scoap compute_scoap(const Levelizer& lv,
           even = e2;
           odd = o2;
         }
-        if (nl.type(id) == GateType::Xor) {
+        if (circ.type(id) == GateType::Xor) {
           c0 = even;
           c1 = odd;
         } else {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "netlist/levelize.h"
+#include "sim/soa_circuit.h"
 
 namespace fsct {
 
@@ -30,6 +31,11 @@ struct Scoap {
 /// Computes CC0/CC1.  `controllable` flags the source nodes (PIs / pseudo-PIs)
 /// that ATPG may assign; all other sources get kInfCost for both values
 /// except constants, which are free for their own value.
-Scoap compute_scoap(const Levelizer& lv, const std::vector<char>& controllable);
+Scoap compute_scoap(const SoaCircuit& c, const std::vector<char>& controllable);
+/// A base circuit's measures (on its memoized flat compilation).
+inline Scoap compute_scoap(const Levelizer& lv,
+                           const std::vector<char>& controllable) {
+  return compute_scoap(*SoaCircuit::compile(lv), controllable);
+}
 
 }  // namespace fsct

@@ -1,18 +1,20 @@
 #include "atpg/unroll.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
-#include "netlist/levelize.h"
-
 namespace fsct {
 
-std::vector<char> fault_forward_closure(const Levelizer& lv, NodeId site) {
-  const Netlist& nl = lv.netlist();
-  std::vector<char> cone(nl.size(), 0);
-  std::vector<NodeId> stack{site};
-  cone[site] = 1;
+std::vector<char> fault_forward_closure(const Levelizer& lv,
+                                        std::span<const NodeId> sites) {
+  std::vector<char> cone(lv.netlist().size(), 0);
+  std::vector<NodeId> stack;
+  for (NodeId site : sites) {
+    if (!cone[site]) {
+      cone[site] = 1;
+      stack.push_back(site);
+    }
+  }
   while (!stack.empty()) {
     const NodeId id = stack.back();
     stack.pop_back();
@@ -62,26 +64,47 @@ UnrolledModel unroll(const UnrollSpec& spec) {
   if (spec.keep != nullptr && spec.fold_values == nullptr) {
     throw std::invalid_argument("unroll: keep requires fold_values");
   }
-  const Netlist& b = *spec.base;
+  const Levelizer& lv = *spec.base;
+  const Netlist& b = lv.netlist();
   const std::size_t n_ff = b.dffs().size();
+  const auto frames = static_cast<std::size_t>(spec.frames);
   if (spec.controllable_state.size() != n_ff ||
       spec.observable_ff.size() != n_ff) {
     throw std::invalid_argument("unroll: per-FF vector size mismatch");
   }
-  Levelizer lv(b);
 
   auto kept = [&](NodeId id) {
     return spec.keep == nullptr || (*spec.keep)[id] != 0;
   };
 
   UnrolledModel m;
-  m.nl.set_name(b.name() + "_x" + std::to_string(spec.frames));
-  m.map.assign(static_cast<std::size_t>(spec.frames),
-               std::vector<NodeId>(b.size(), kNullNode));
-  m.cap.assign(static_cast<std::size_t>(spec.frames),
-               std::vector<NodeId>(n_ff, kNullNode));
-  m.frame_pi.assign(static_cast<std::size_t>(spec.frames), {});
+  m.map.assign(frames, std::vector<NodeId>(b.size(), kNullNode));
+  m.cap.assign(frames, std::vector<NodeId>(n_ff, kNullNode));
+  m.frame_pi.assign(frames, std::vector<NodeId>(b.inputs().size(), kNullNode));
   m.init_state.assign(n_ff, kNullNode);
+
+  // The flat model.  Every kept node is copied once per frame (a kept DFF
+  // as its capture buffer), plus the frame-0 state inputs and two constants.
+  FlatNetlist out;
+  {
+    std::size_t nodes = 0, pins = 0;
+    for (NodeId id = 0; id < b.size(); ++id) {
+      if (!kept(id)) continue;
+      ++nodes;
+      pins += b.fanins(id).size();
+    }
+    out.type.reserve(nodes * (frames + 1) + 2);
+    out.fanin_off.reserve(nodes * (frames + 1) + 3);
+    out.fanin.reserve(pins * frames);
+  }
+  auto add_node = [&](GateType t, const NodeId* fins, std::size_t n) {
+    const auto id = static_cast<NodeId>(out.type.size());
+    out.type.push_back(t);
+    out.fanin.insert(out.fanin.end(), fins, fins + n);
+    out.fanin_off.push_back(static_cast<std::uint32_t>(out.fanin.size()));
+    if (t == GateType::Input) out.inputs.push_back(id);
+    return id;
+  };
 
   NodeId const0 = kNullNode, const1 = kNullNode;
   auto get_const = [&](Val v) {
@@ -89,10 +112,10 @@ UnrolledModel unroll(const UnrollSpec& spec) {
       throw std::logic_error("unroll: folding an X-valued node");
     }
     if (v == Val::Zero) {
-      if (const0 == kNullNode) const0 = m.nl.add_const(false, "_const0");
+      if (const0 == kNullNode) const0 = add_node(GateType::Const0, nullptr, 0);
       return const0;
     }
-    if (const1 == kNullNode) const1 = m.nl.add_const(true, "_const1");
+    if (const1 == kNullNode) const1 = add_node(GateType::Const1, nullptr, 0);
     return const1;
   };
 
@@ -109,61 +132,60 @@ UnrolledModel unroll(const UnrollSpec& spec) {
 
   std::unordered_map<NodeId, Val> fixed;
   for (auto [pi, v] : spec.fixed_pis) fixed.emplace(pi, v);
+  std::vector<NodeId> base_consts;
+  for (NodeId id = 0; id < b.size(); ++id) {
+    const GateType t = b.type(id);
+    if (t == GateType::Const0 || t == GateType::Const1) base_consts.push_back(id);
+  }
 
   // Frame-0 state inputs (only for kept flip-flops).
   for (std::size_t i = 0; i < n_ff; ++i) {
     const NodeId ff = b.dffs()[i];
     if (!kept(ff)) continue;
-    m.init_state[i] = m.nl.add_input(b.node_name(ff) + "@s0");
+    m.init_state[i] = add_node(GateType::Input, nullptr, 0);
     m.map[0][ff] = m.init_state[i];
   }
 
-  for (int f = 0; f < spec.frames; ++f) {
-    const std::string suf = "@" + std::to_string(f);
-    auto& fmap = m.map[static_cast<std::size_t>(f)];
+  for (std::size_t f = 0; f < frames; ++f) {
+    auto& fmap = m.map[f];
     // PIs.
-    m.frame_pi[static_cast<std::size_t>(f)].assign(b.inputs().size(),
-                                                   kNullNode);
     for (std::size_t i = 0; i < b.inputs().size(); ++i) {
       const NodeId pi = b.inputs()[i];
       NodeId u = kNullNode;
       if (auto it = fixed.find(pi); it != fixed.end()) {
         u = get_const(it->second);
       } else if (kept(pi)) {
-        u = m.nl.add_input(b.node_name(pi) + suf);
+        u = add_node(GateType::Input, nullptr, 0);
       }
       fmap[pi] = u;
-      m.frame_pi[static_cast<std::size_t>(f)][i] = u;
+      m.frame_pi[f][i] = u;
     }
     // Base constants.
-    for (NodeId id = 0; id < b.size(); ++id) {
-      if (b.type(id) == GateType::Const0) fmap[id] = get_const(Val::Zero);
-      if (b.type(id) == GateType::Const1) fmap[id] = get_const(Val::One);
+    for (NodeId id : base_consts) {
+      fmap[id] = get_const(b.type(id) == GateType::Const0 ? Val::Zero
+                                                          : Val::One);
     }
     // Q values for frame f > 0 come from frame f-1 capture buffers.
     if (f > 0) {
       for (std::size_t i = 0; i < n_ff; ++i) {
-        if (kept(b.dffs()[i])) {
-          fmap[b.dffs()[i]] = m.cap[static_cast<std::size_t>(f - 1)][i];
-        }
+        if (kept(b.dffs()[i])) fmap[b.dffs()[i]] = m.cap[f - 1][i];
       }
     }
-    // Combinational gates.
+    // Combinational gates.  Fanins are resolved before the gate is added:
+    // a folded fanin may create a constant node first.
+    NodeId fins[kMaxFanin];
     for (NodeId g : lv.topo_order()) {
       if (!kept(g)) continue;
-      std::vector<NodeId> fins;
-      fins.reserve(b.fanins(g).size());
-      for (NodeId x : b.fanins(g)) fins.push_back(ref(fmap, x));
-      fmap[g] = m.nl.add_gate(b.type(g), std::move(fins), b.node_name(g) + suf);
+      const std::span<const NodeId> bf = b.fanins(g);
+      for (std::size_t k = 0; k < bf.size(); ++k) fins[k] = ref(fmap, bf[k]);
+      fmap[g] = add_node(b.type(g), fins, bf.size());
     }
     // Capture buffers.
     for (std::size_t i = 0; i < n_ff; ++i) {
       const NodeId ff = b.dffs()[i];
       if (!kept(ff)) continue;
-      const NodeId dnet = b.fanins(ff)[0];
-      m.cap[static_cast<std::size_t>(f)][i] = m.nl.add_gate(
-          GateType::Buf, {ref(fmap, dnet)},
-          b.node_name(ff) + "@c" + std::to_string(f));
+      const NodeId d = ref(fmap, b.fanins(ff)[0]);
+      m.cap[f][i] = add_node(GateType::Buf, &d, 1);
     }
     // Observations.
     if (spec.observe_pos) {
@@ -173,17 +195,16 @@ UnrolledModel unroll(const UnrollSpec& spec) {
     }
     for (std::size_t i = 0; i < n_ff; ++i) {
       if (spec.observable_ff[i] && kept(b.dffs()[i])) {
-        m.observe.push_back(m.cap[static_cast<std::size_t>(f)][i]);
+        m.observe.push_back(m.cap[f][i]);
       }
     }
   }
 
   // Controllability flags.
-  m.controllable.assign(m.nl.size(), 0);
-  for (int f = 0; f < spec.frames; ++f) {
-    for (std::size_t i = 0; i < b.inputs().size(); ++i) {
-      const NodeId u = m.frame_pi[static_cast<std::size_t>(f)][i];
-      if (u != kNullNode && m.nl.type(u) == GateType::Input) {
+  m.controllable.assign(out.type.size(), 0);
+  for (const std::vector<NodeId>& fpi : m.frame_pi) {
+    for (NodeId u : fpi) {
+      if (u != kNullNode && out.type[u] == GateType::Input) {
         m.controllable[u] = 1;
       }
     }
@@ -194,6 +215,7 @@ UnrolledModel unroll(const UnrollSpec& spec) {
     }
   }
 
+  m.circuit = SoaCircuit::build(std::move(out));
   return m;
 }
 

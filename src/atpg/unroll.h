@@ -1,10 +1,12 @@
 // Time-frame expansion: turns a sequential circuit into a pure combinational
-// "iterative array" model suitable for PairSim/PODEM.
+// "iterative array" model suitable for PairSim/PODEM.  The model is written
+// straight into flat arrays (types, a fanin CSR, inputs) and built as a
+// SoaCircuit: no node names and no per-node containers (DESIGN.md §5m).
 //
 // Per frame, every combinational gate is copied.  Flip-flop boundaries become
-// explicit capture buffers: frame f's "ff@f" BUF node carries the value the
-// flip-flop captures at the end of frame f, and feeds the flip-flop's Q uses
-// in frame f+1.  Frame-0 Q values are fresh Input nodes — controllable if the
+// explicit capture buffers: frame f's BUF node for a flip-flop carries the
+// value it captures at the end of frame f, and feeds its Q uses in frame
+// f+1.  Frame-0 Q values are fresh Input nodes — controllable if the
 // caller says so (enhanced-controllability prefix of a scan chain), otherwise
 // left X (unknown power-up state).
 //
@@ -14,19 +16,22 @@
 // frame-0 state Input *and* every capture buffer.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "atpg/pair_sim.h"
 #include "fault/fault.h"
-#include "netlist/netlist.h"
+#include "netlist/levelize.h"
+#include "sim/soa_circuit.h"
 #include "sim/value.h"
 
 namespace fsct {
 
 /// What to unroll and how the environment constrains it.
 struct UnrollSpec {
-  const Netlist* base = nullptr;
+  /// The base circuit; its netlist is unrolled in its topological order.
+  const Levelizer* base = nullptr;
   int frames = 1;
   /// PI -> constant held at that value in every frame (TPI scan-mode pins,
   /// including scan_mode = 1).
@@ -59,19 +64,27 @@ std::vector<char> compute_keep_mask(const Levelizer& lv,
                                     const std::vector<char>& fault_cone,
                                     std::span<const NodeId> roots);
 
-/// Forward closure of a fault site across flip-flop boundaries (node mask).
-std::vector<char> fault_forward_closure(const Levelizer& lv, NodeId site);
+/// Forward closure of a set of fault sites across flip-flop boundaries (node
+/// mask): every node reachable from any of `sites`, found in one traversal.
+std::vector<char> fault_forward_closure(const Levelizer& lv,
+                                        std::span<const NodeId> sites);
 
 /// The expanded model plus the bookkeeping needed to map a PODEM solution
 /// back into a clocked test.
+///
+/// Node ids are creation order: the frame-0 state inputs, then per frame
+/// its PI inputs, its combinational gates in base topological order and its
+/// capture buffers, with the two shared constants created at first use.
 struct UnrolledModel {
-  Netlist nl;
-  /// controllable[n] for every node of `nl` (Input nodes ATPG may assign).
+  /// The model's flat circuit (pure combinational: Input/Const sources).
+  std::shared_ptr<const SoaCircuit> circuit;
+  /// controllable[n] for every node of `circuit` (Input nodes ATPG may
+  /// assign).
   std::vector<char> controllable;
   /// Nets checked for fault effects.
   std::vector<NodeId> observe;
-  /// map[f][base_id] = node id in `nl` of frame-f copy (combinational gates
-  /// and PIs).  For a DFF base id it is the frame-f *Q* value node.
+  /// map[f][base_id] = node id in `circuit` of frame-f copy (combinational
+  /// gates and PIs).  For a DFF base id it is the frame-f *Q* value node.
   std::vector<std::vector<NodeId>> map;
   /// cap[f][ff_index] = frame-f capture buffer of that FF.
   std::vector<std::vector<NodeId>> cap;
@@ -80,7 +93,7 @@ struct UnrolledModel {
   /// init_state[ff_index] = frame-0 Q Input node.
   std::vector<NodeId> init_state;
 
-  /// FaultSites in `nl` equivalent to base fault `f` in every frame.
+  /// FaultSites in `circuit` equivalent to base fault `f` in every frame.
   std::vector<FaultSite> map_fault(const Fault& f) const;
 
   int frames() const { return static_cast<int>(map.size()); }

@@ -276,7 +276,11 @@ std::vector<GroupOutcome> ParallelPhases::run_groups(
     const AtpgGroup& g = groups[gi];
     std::vector<Fault> gf;
     for (std::size_t j : g.fault_indices) gf.push_back(faults_[j]);
-    const ReducedModel rm = builder.build(g, gf);
+    ReducedModel rm;
+    {
+      const ObsSpan mspan(obs, "s3.model");
+      rm = builder.build(g, gf);
+    }
     std::vector<char> credited(g.fault_indices.size(), 0);
     for (std::size_t k = 0; k < g.fault_indices.size(); ++k) {
       const std::size_t j = g.fault_indices[k];
@@ -364,8 +368,11 @@ std::vector<FinalOutcome> ParallelPhases::run_finals(
     g.fault_indices = {j};
     g.window = windows[k];
     const Fault f = faults_[j];
-    const ReducedModel rm =
-        final_builder.build(g, std::span(&f, 1), opt_.final_extra_frames);
+    ReducedModel rm;
+    {
+      const ObsSpan mspan(obs, "s3.model");
+      rm = final_builder.build(g, std::span(&f, 1), opt_.final_extra_frames);
+    }
     const auto sites = rm.um.map_fault(f);
     if (sites.empty()) return;  // NoSites
     const AtpgResult r =
@@ -747,7 +754,7 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
   if (start <= PipelinePhase::S2Podem && !hard_idx.empty()) {
     const ObsSpan s2span(obs, "step2.atpg");
     UnrollSpec cspec;
-    cspec.base = &nl;
+    cspec.base = &lv;
     cspec.frames = 1;
     cspec.fixed_pis = model.design().pi_constraints;
     // Only scanned flip-flops are load/observe-able through the chains; in a
@@ -766,12 +773,11 @@ PipelineResult run_fsct_pipeline(const ScanModeModel& model,
     }
     cspec.observe_pos = true;
     UnrolledModel cm = unroll(cspec);
-    Levelizer clv(cm.nl);
     AtpgOptions aopt;
     aopt.backtrack_limit = opt.comb_backtrack_limit;
     aopt.time_limit_ms = opt.comb_time_limit_ms;
     aopt.obs = obs;
-    Podem podem(clv, cm.controllable, cm.observe, aopt);
+    Podem podem(cm.circuit, cm.controllable, cm.observe, aopt);
 
     std::vector<NodeId> comb_observe = nl.outputs();
     for (NodeId ff : nl.dffs()) comb_observe.push_back(ff);

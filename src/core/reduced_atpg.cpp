@@ -53,6 +53,19 @@ int ReducedCircuitBuilder::frames_for(const AtpgGroup& g,
 ReducedModel ReducedCircuitBuilder::build(const AtpgGroup& g,
                                           std::span<const Fault> group_faults,
                                           int extra_frames) const {
+  std::vector<char> keep;
+  const UnrollSpec spec = unroll_spec(g, group_faults, extra_frames, keep);
+  ReducedModel rm;
+  rm.frames = spec.frames;
+  rm.um = unroll(spec);
+  rm.podem = std::make_unique<Podem>(rm.um.circuit, rm.um.controllable,
+                                     rm.um.observe, opt_.atpg);
+  return rm;
+}
+
+UnrollSpec ReducedCircuitBuilder::unroll_spec(
+    const AtpgGroup& g, std::span<const Fault> group_faults, int extra_frames,
+    std::vector<char>& keep) const {
   const Levelizer& base_lv = model_.levelizer();
   const Netlist& nl = base_lv.netlist();
   const std::size_t n_ff = nl.dffs().size();
@@ -78,16 +91,12 @@ ReducedModel ReducedCircuitBuilder::build(const AtpgGroup& g,
     }
   }
 
-  // Union forward closure of the group's faults.
-  std::vector<char> cone(nl.size(), 0);
-  for (const Fault& f : group_faults) {
-    const std::vector<char> c = fault_forward_closure(base_lv, f.node);
-    for (NodeId id = 0; id < nl.size(); ++id) cone[id] |= c[id];
-  }
-
   // Roots: fault sites, observable FFs within the cone, POs within the cone.
   std::vector<NodeId> roots;
   for (const Fault& f : group_faults) roots.push_back(f.node);
+  // Union forward closure of the group's faults: one traversal from all
+  // fault sites at once.
+  const std::vector<char> cone = fault_forward_closure(base_lv, roots);
   for (std::size_t i = 0; i < n_ff; ++i) {
     if (observable[i] && cone[nl.dffs()[i]]) {
       roots.push_back(nl.dffs()[i]);
@@ -101,26 +110,18 @@ ReducedModel ReducedCircuitBuilder::build(const AtpgGroup& g,
     }
   }
 
-  const std::vector<char> keep =
-      compute_keep_mask(base_lv, model_.values(), cone, roots);
+  keep = compute_keep_mask(base_lv, model_.values(), cone, roots);
 
   UnrollSpec spec;
-  spec.base = &nl;
+  spec.base = &base_lv;
   spec.frames = frames_for(g, extra_frames);
   spec.fixed_pis = model_.design().pi_constraints;
-  spec.controllable_state.assign(controllable.begin(), controllable.end());
-  spec.observable_ff.assign(observable.begin(), observable.end());
+  spec.controllable_state = std::move(controllable);
+  spec.observable_ff = std::move(observable);
   spec.observe_pos = opt_.observe_pos;
   spec.keep = &keep;
   spec.fold_values = &model_.values();
-
-  ReducedModel rm;
-  rm.frames = spec.frames;
-  rm.um = unroll(spec);
-  rm.lv = std::make_unique<Levelizer>(rm.um.nl);
-  rm.podem = std::make_unique<Podem>(*rm.lv, rm.um.controllable,
-                                     rm.um.observe, opt_.atpg);
-  return rm;
+  return spec;
 }
 
 SeqTest ReducedCircuitBuilder::extract_test(const ReducedModel& rm,

@@ -34,10 +34,10 @@ struct ReducedModelOptions {
   AtpgOptions atpg;
 };
 
-/// One built group model, ready to target that group's faults.
+/// One built group model, ready to target that group's faults.  The PODEM
+/// engine runs on um.circuit, the model's flat circuit.
 struct ReducedModel {
   UnrolledModel um;
-  std::unique_ptr<Levelizer> lv;
   std::unique_ptr<Podem> podem;
   int frames = 0;
 };
@@ -72,6 +72,13 @@ class ReducedCircuitBuilder {
   /// window (used for the final-faults retry).
   ReducedModel build(const AtpgGroup& g, std::span<const Fault> group_faults,
                      int extra_frames = 0) const;
+
+  /// The unroll spec build() expands: per-FF controllability and
+  /// observability from the group's window, and the value-aware pruning
+  /// mask, written to `keep` (the spec points at it and at the scan model).
+  UnrollSpec unroll_spec(const AtpgGroup& g,
+                         std::span<const Fault> group_faults, int extra_frames,
+                         std::vector<char>& keep) const;
 
   /// Frames a window needs: spread + slack, capped.
   int frames_for(const AtpgGroup& g, int extra_frames = 0) const;

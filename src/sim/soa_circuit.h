@@ -1,16 +1,21 @@
-// Structure-of-arrays compilation of a levelized netlist, plus the W-lane
+// Structure-of-arrays form of a levelized netlist, plus the W-lane
 // (multi-word) packed value types and simulators built on top of it.
 //
-// A SoaCircuit is compiled once per Levelizer snapshot and then shared
-// read-only across threads (std::shared_ptr<const SoaCircuit>).  It flattens
-// everything the hot simulation kernels touch into contiguous arrays:
+// A SoaCircuit is built once from a FlatNetlist (per-node types, a fanin
+// CSR, inputs and flip-flops) and then shared read-only across threads
+// (std::shared_ptr<const SoaCircuit>).  SoaCircuit::compile flattens a
+// Levelizer's netlist into that form; the time-frame unroller (unroll.h)
+// writes it directly.  Everything the hot kernels touch lives in
+// contiguous arrays:
 //
 //   * per-node gate type (one byte),
 //   * fanin ids in one flat array with per-node offsets,
 //   * *combinational-only* fanout ids in one flat array with per-node
-//     offsets, preserving Levelizer order (one entry per connected pin) so
-//     event-driven propagation visits sinks in exactly the order the
-//     vector-of-vectors Levelizer API produced,
+//     offsets, one entry per connected pin in sink-id order — the order a
+//     Levelizer lists them — so event-driven propagation visits sinks in
+//     exactly the order the vector-of-vectors Levelizer API produced,
+//   * levels and the Kahn topological order of the combinational gates,
+//     both exactly as a Levelizer computes them,
 //   * an evaluation order that is level-major and type-sorted within each
 //     level, expressed as same-type runs so the gate-type switch sits
 //     outside the inner loop,
@@ -64,13 +69,27 @@ struct SoaRun {
   std::uint32_t end = 0;
 };
 
+/// A netlist in flat form: what SoaCircuit::build derives everything else
+/// from.  Node ids are indices into `type`.
+struct FlatNetlist {
+  std::vector<GateType> type;
+  std::vector<std::uint32_t> fanin_off{0};  ///< type.size() + 1 offsets
+  std::vector<NodeId> fanin;
+  std::vector<NodeId> inputs;  ///< the Input nodes, in the caller's PI order
+  std::vector<NodeId> dffs;    ///< the Dff nodes, in the caller's FF order
+};
+
 /// Immutable flat view of a levelized netlist (see file comment).
 class SoaCircuit {
  public:
-  /// Compiles the snapshot.  O(nodes + edges); the result is immutable and
-  /// safe to share across threads.  Memoized per Levelizer snapshot (via
-  /// Levelizer::memo()): repeated calls for the same snapshot — every engine
-  /// of one pipeline run — return the same shared compilation.
+  /// Builds the circuit from its flat form.  O(nodes + edges); the result is
+  /// immutable and safe to share across threads.  Throws std::runtime_error
+  /// on a combinational cycle.
+  static std::shared_ptr<const SoaCircuit> build(FlatNetlist flat);
+
+  /// Flattens the snapshot's netlist and builds it.  Memoized per Levelizer
+  /// snapshot (via Levelizer::memo()): repeated calls for the same snapshot
+  /// — every engine of one pipeline run — return the same shared circuit.
   static std::shared_ptr<const SoaCircuit> compile(const Levelizer& lv);
 
   std::size_t size() const { return type_.size(); }
@@ -84,14 +103,18 @@ class SoaCircuit {
   }
 
   /// Combinational sinks of `id` only, one entry per connected pin, in
-  /// Levelizer fanout order.  (DFF sinks are excluded: simulation reads a
-  /// DFF's D through dff_d(), and event propagation stops at state.)
+  /// sink-id (Levelizer fanout) order.  (DFF sinks are excluded: simulation
+  /// reads a DFF's D through dff_d(), and event propagation stops at state.)
   const NodeId* fanout(NodeId id) const {
     return fanout_.data() + fanout_off_[id];
   }
   std::uint32_t fanout_count(NodeId id) const {
     return fanout_off_[id + 1] - fanout_off_[id];
   }
+
+  /// The combinational gates in Kahn topological order, identical to
+  /// Levelizer::topo_order() on the same netlist.
+  const std::vector<NodeId>& topo_order() const { return topo_; }
 
   /// Level-major evaluation order of all combinational gates, type-sorted
   /// within each level; any level-compatible order evaluates identically.
@@ -116,6 +139,7 @@ class SoaCircuit {
   std::vector<NodeId> fanin_;
   std::vector<std::uint32_t> fanout_off_;  // size() + 1
   std::vector<NodeId> fanout_;
+  std::vector<NodeId> topo_;
   std::vector<NodeId> order_;
   std::vector<SoaRun> runs_;
   std::vector<NodeId> inputs_, dffs_, dff_d_, const0_, const1_;

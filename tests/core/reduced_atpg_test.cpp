@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../atpg/unroll_reference.h"
 #include "bench_circuits/paper_examples.h"
 #include "core/classify.h"
 
@@ -44,7 +45,7 @@ TEST(ReducedAtpg, BuildsPrunedModel) {
   const Fault f = paper_figure2_fault(b.e.nl);
   const AtpgGroup g = window_group(0, 0, 5, 5);
   const ReducedModel rm = b.builder.build(g, std::span(&f, 1));
-  EXPECT_EQ(rm.um.nl.validate(), "");
+  EXPECT_EQ(to_netlist(*rm.um.circuit).validate(), "");
   EXPECT_GT(rm.um.observe.size(), 0u);
   // The controllable prefix f1..f5 gives five controllable state inputs.
   int controllable_states = 0;

@@ -109,11 +109,12 @@ TEST(Golden, FaultCollapsingConformanceTable) {
 }
 
 // End-to-end coverage pins for the fast suite circuits (s1488/s1494 wall
-// < ~100 ms each; s1423's step 3 is backtrace-bound, about 2 s).  The PODEM
-// counters pin the search itself: every objective, backtrace, decision and
-// flip must happen in the same order, so a kernel rewrite that changes one
-// decision moves them.  The larger circuits are covered statistically by the
-// bench harness.
+// < ~100 ms each; s1423's step 3 is backtrace-bound) and for s13207, whose
+// step-3 final models are the largest the pins cover (105k nodes over 12
+// frames).  The PODEM counters pin the search itself: every objective,
+// backtrace, decision and flip must happen in the same order, so a kernel
+// or model-build rewrite that changes one decision moves them.  The other
+// large circuits are covered statistically by the bench harness.
 TEST(Golden, SuiteCoverageConformance) {
   struct Pin {
     const char* name;
@@ -126,6 +127,7 @@ TEST(Golden, SuiteCoverageConformance) {
       {"s1488", 49, 42, 27, 21, 20, 1, 0, 0, 1, 0, 0, 0},
       {"s1494", 40, 10, 8, 2, 1, 5, 2, 0, 8, 92, 69, 0},
       {"s1423", 390, 235, 143, 119, 22, 80, 0, 1, 87, 41849, 41693, 7},
+      {"s13207", 3824, 2212, 1344, 1067, 207, 928, 0, 2, 726, 40158, 39988, 8},
   };
   for (const Pin& p : kPins) {
     const SuiteEntry e = suite_entry(p.name);

@@ -144,14 +144,13 @@ TEST_P(PropertySeed, P4_UntestableVerdictsSurviveRandomAttack) {
   World w(GetParam(), 180, 12);
   // Combinational scan-mode model, all state controllable/observable.
   UnrollSpec spec;
-  spec.base = &w.nl;
+  spec.base = &w.lv;
   spec.frames = 1;
   spec.fixed_pis = w.design.pi_constraints;
   spec.controllable_state.assign(w.nl.dffs().size(), 1);
   spec.observable_ff.assign(w.nl.dffs().size(), 1);
   const UnrolledModel um = unroll(spec);
-  Levelizer ulv(um.nl);
-  Podem podem(ulv, um.controllable, um.observe, AtpgOptions{2000});
+  Podem podem(um.circuit, um.controllable, um.observe, AtpgOptions{2000});
 
   std::vector<NodeId> observe = w.nl.outputs();
   for (NodeId ff : w.nl.dffs()) observe.push_back(ff);

@@ -238,13 +238,15 @@ if [[ "$TSAN_ONLY" == 0 ]]; then
   # alignas + fixed-trip-count word loops, so shifts, alignment and aliasing
   # must be provably clean at every width.  The scalar simulator and TPI
   # ride along: CombSim keeps per-node injection flags sized to the netlist,
-  # and TPI drives it with hundreds of injections per run.
+  # and TPI drives it with hundreds of injections per run.  The unroller
+  # writes the step-3 models straight into flat CSR arrays, so its index
+  # arithmetic and the flat-circuit factory ride along too.
   cmake -B build-ubsan -S . -DFSCT_SANITIZE=undefined "$@"
   cmake --build build-ubsan -j \
     --target soa_sim_test seq_fault_sim_test pair_sim_test podem_test \
-    test_export_test comb_sim_test tpi_test
+    test_export_test comb_sim_test tpi_test unroll_test reduced_atpg_test
   UBSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-ubsan \
-    --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.|TestExport\.|CombSim\.|Tpi\.|TpiRandom\.'
+    --output-on-failure -R 'SoaCircuit\.|WideSim\.|WideSeqSim\.|SimdWidth\.|SeqFaultSim\.|PairSim\.|Podem\.|TestExport\.|CombSim\.|Tpi\.|TpiRandom\.|Unroll\.|ReducedAtpg\.'
   echo "check.sh: UBSan clean over the SoA/wide kernels"
 fi
 echo "check.sh: OK (plain tests $( [[ $TSAN_ONLY == 1 ]] && echo skipped || echo passed ), TSan clean)"
